@@ -61,7 +61,7 @@ fn bench_cone_kernel(c: &mut Criterion) {
         b.iter_batched(
             || (Store::in_memory(), FeaturizeScratch::new()),
             |(store, mut scratch)| {
-                build_all_variant_data_scratch(&store, &sog, &lib, 1.0, 7, true, &mut scratch)
+                build_all_variant_data_scratch(&store, &sog, &lib, 1.0, 7, &mut scratch)
             },
             BatchSize::SmallInput,
         )

@@ -232,8 +232,8 @@ fn main() {
         );
         lev_ms.push(t0.elapsed().as_secs_f64() * 1e3);
 
-        // Cold shared-cone featurize (dedup on, fresh in-memory store so
-        // nothing is served from the suite's warmed artifact cache).
+        // Cold shared-cone featurize (fresh in-memory store so nothing is
+        // served from the suite's warmed artifact cache).
         let cold = Store::in_memory();
         let t0 = Instant::now();
         let _ = build_all_variant_data_scratch(
@@ -242,7 +242,6 @@ fn main() {
             &pseudo,
             synth.clock_period,
             d.synth_seed,
-            true,
             &mut feat_scratch,
         );
         dedup_ms.push(t0.elapsed().as_secs_f64() * 1e3);

@@ -114,14 +114,14 @@ pub fn run_maintenance(store: &Store) -> bool {
         println!("tier policy: {}", store.tier_policy().describe());
         if let Some(addr) = remote_addr() {
             // Live server-side load: how many peers share the cache right
-            // now, and how many exchanges are in flight across them. A
-            // pre-gen3 or unreachable server simply has no load to report.
+            // now, and how many exchanges are in flight across them. An
+            // unreachable server simply has no load to report.
             match RemoteTier::new(&addr).server_load() {
                 Some(load) => println!(
                     "remote server {addr}: wire v{}, {} connections, {} in-flight exchanges",
                     load.wire_version, load.connections, load.inflight
                 ),
-                None => println!("remote server {addr}: no live load info (old or unreachable)"),
+                None => println!("remote server {addr}: no live load info (unreachable)"),
             }
         }
         match store.disk_dir() {

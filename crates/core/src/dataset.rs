@@ -23,8 +23,9 @@
 //! namespace plus an in-process once-map) and shared by every signal whose
 //! extracted cone is byte-identical (bit lanes of one word, replicated
 //! blocks). The per-signal seeded path sampling then *replays* over the
-//! shared evaluation; output bytes are identical to the legacy per-signal
-//! path (`RTLT_NO_CONE_DEDUP=1` forces the latter for verification).
+//! shared evaluation; output bytes are identical to running
+//! [`build_cone_shard`] on every signal's cone, which the tests keep as
+//! their per-signal oracle.
 
 use crate::cache::{conesta_key, shard_key, stage};
 use crate::features::{design_features, op_class, path_features, token_features};
@@ -37,7 +38,7 @@ use rtlt_store::{ContentHash, Store};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One featurized timing path.
@@ -440,18 +441,6 @@ pub fn cone_dedup_stats() -> ConeDedupStats {
     }
 }
 
-/// Whether shared-cone evaluation is active (default). `RTLT_NO_CONE_DEDUP=1`
-/// forces the legacy per-signal evaluation path — the escape hatch for
-/// byte-identity verification and for bisecting featurize regressions.
-pub(crate) fn cone_dedup_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !std::env::var("RTLT_NO_CONE_DEDUP")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
-}
-
 /// Worker-local scratch for the featurize hot loop: the levelized kernel's
 /// topology tables plus the per-variant merge buffers that used to be
 /// reallocated for every variant of every design. One instance per worker
@@ -573,128 +562,47 @@ pub fn build_all_variant_data(
         lib,
         clock,
         design_seed,
-        cone_dedup_enabled(),
         &mut FeaturizeScratch::new(),
     )
 }
 
-/// [`build_all_variant_data`] with an explicit scratch and dedup switch.
-/// With `dedup` set (the default path), each *unique* canonical cone gets
+/// [`build_all_variant_data`] with an explicit scratch: a [`FeaturizeJob`]
+/// stepped to completion in one call. Each *unique* canonical cone gets
 /// one seed-independent [`ConeEval`] — computed via the levelized kernel,
 /// memoized in-process and in the `conesta` namespace — and every signal
-/// sharing it replays only the seeded sampling. With `dedup` unset (the
-/// `RTLT_NO_CONE_DEDUP=1` escape hatch), every signal runs the legacy
-/// monolithic [`build_cone_shard`]. Output bytes are identical either way.
+/// sharing it replays only the seeded sampling.
 pub fn build_all_variant_data_scratch(
     store: &Store,
     sog: &Bog,
     lib: &Library,
     clock: f64,
     design_seed: u64,
-    dedup: bool,
     scratch: &mut FeaturizeScratch,
 ) -> Vec<VariantData> {
-    let started = Instant::now();
-    // One canonical extraction per signal, shared by all four variants.
-    // Two hashes per cone: the full content hash keys the per-seed shard
-    // cache (name-sensitive, unchanged from before the split), while the
-    // structural fingerprint keys the shared seed-independent evaluation
-    // (name-free, so isomorphic cones of different signals collide).
-    let extractions: Vec<(Bog, ContentHash, ContentHash)> = (0..sog.signals().len())
-        .map(|sig| {
-            let sub = rtlt_bog::extract_signal_cone(sog, sig);
-            let content = ContentHash::of_bytes(&rtlt_store::Codec::to_bytes(&sub));
-            let fingerprint = rtlt_bog::cone_fingerprint(&sub);
-            (sub, content, fingerprint)
-        })
-        .collect();
-    TOTAL_SIGNALS.fetch_add(extractions.len() as u64, Ordering::Relaxed);
-    // Fingerprint multiplicity within this design: only cones that occur
-    // more than once go through the memoized `conesta` path — see
-    // `shared_cone_eval`.
-    let mut multiplicity: HashMap<&ContentHash, u32> = HashMap::new();
-    for (_, _, fp) in &extractions {
-        *multiplicity.entry(fp).or_insert(0) += 1;
-    }
-    UNIQUE_CONES.fetch_add(multiplicity.len() as u64, Ordering::Relaxed);
-
-    let out = BogVariant::ALL
-        .iter()
-        .enumerate()
-        .map(|(vi, &variant)| {
-            let design_feats = design_features(&sog.to_variant(variant));
-            // Once-map of this design × variant: canonical content →
-            // (variant-converted cone, shared evaluation). Signals are
-            // processed sequentially here (parallelism is across designs),
-            // so no locking.
-            let mut once: HashMap<ContentHash, (Arc<Bog>, Arc<ConeEval>)> = HashMap::new();
-            scratch.shards.clear();
-            for (sig, s) in sog.signals().iter().enumerate() {
-                let (sub, content, fingerprint) = &extractions[sig];
-                let n_eps = s.width as usize;
-                let seed = shard_seed(design_seed, vi, &s.name);
-                let key = shard_key(vi, clock, seed, content);
-                let (levels, cone_scratch) = (&mut scratch.levels, &mut scratch.cones);
-                let shard = store.get_or_compute(stage::SHARD, key, || {
-                    if !dedup {
-                        return build_cone_shard(&sub.to_variant(variant), n_eps, lib, clock, seed);
-                    }
-                    if multiplicity.get(fingerprint).copied().unwrap_or(1) > 1 {
-                        let (vbog, eval) = shared_cone_eval(
-                            store,
-                            &mut once,
-                            vi,
-                            variant,
-                            clock,
-                            fingerprint,
-                            sub,
-                            n_eps,
-                            lib,
-                            levels,
-                            cone_scratch,
-                        );
-                        replay_cone_shard(&vbog, &eval, n_eps, lib, clock, seed)
-                    } else {
-                        // Singleton cone (~90 % of signals on the bundled
-                        // suites): compute and replay in place — no store
-                        // round-trip, no Arc, crit rows moved not cloned.
-                        let vbog = sub.to_variant(variant);
-                        let eval =
-                            compute_cone_eval(&vbog, n_eps, lib, clock, levels, cone_scratch);
-                        replay_cone_shard_owned(&vbog, eval, n_eps, lib, clock, seed)
-                    }
-                });
-                scratch.shards.push(shard);
-            }
-            merge_shards_into(
-                variant,
-                design_feats,
-                &scratch.shards,
-                &mut scratch.order,
-                &mut scratch.rank_pct,
-            )
-        })
-        .collect();
-    FEATURIZE_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    out
+    let mut job = FeaturizeJob::with_scratch(sog, clock, design_seed, std::mem::take(scratch));
+    job.step(store, lib, usize::MAX);
+    let (data, reused) = job.finish_with_scratch();
+    *scratch = reused;
+    data
 }
 
-/// A resumable [`build_all_variant_data`]: the same per-signal shard walk,
-/// sliced into bounded `step` calls so a single-threaded event loop can
+/// The per-signal shard walk behind [`build_all_variant_data`], sliced
+/// into bounded `step` calls so a single-threaded event loop can
 /// interleave many re-annotations without one large design starving the
-/// tick. Iteration order, cache keys, dedup behavior and merged output are
-/// identical to the one-shot path — a job stepped to completion produces
-/// byte-identical [`VariantData`] (the live annotation service's whole
-/// degrade story rests on this).
+/// tick. The one-shot path is this job stepped to completion, so a
+/// stepped job produces byte-identical [`VariantData`] (the live
+/// annotation service's whole degrade story rests on this).
 #[derive(Debug)]
 pub struct FeaturizeJob {
     sog: Bog,
     clock: f64,
     design_seed: u64,
-    dedup: bool,
     extractions: Vec<(Bog, ContentHash, ContentHash)>,
     multiplicity: HashMap<ContentHash, u32>,
     scratch: FeaturizeScratch,
+    /// Once-map of the current variant: canonical content →
+    /// (variant-converted cone, shared evaluation). Signals are processed
+    /// sequentially (parallelism is across designs), so no locking.
     once: HashMap<ContentHash, (Arc<Bog>, Arc<ConeEval>)>,
     vi: usize,
     sig: usize,
@@ -705,7 +613,23 @@ impl FeaturizeJob {
     /// Extracts every signal cone up front (cheap, linear) and positions
     /// the job at the first shard of the first variant.
     pub fn new(sog: &Bog, clock: f64, design_seed: u64) -> FeaturizeJob {
+        Self::with_scratch(sog, clock, design_seed, FeaturizeScratch::new())
+    }
+
+    /// [`FeaturizeJob::new`] reusing a caller's scratch buffers (handed
+    /// back by [`FeaturizeJob::finish_with_scratch`]).
+    fn with_scratch(
+        sog: &Bog,
+        clock: f64,
+        design_seed: u64,
+        scratch: FeaturizeScratch,
+    ) -> FeaturizeJob {
         let started = Instant::now();
+        // One canonical extraction per signal, shared by all four variants.
+        // Two hashes per cone: the full content hash keys the per-seed
+        // shard cache (name-sensitive), while the structural fingerprint
+        // keys the shared seed-independent evaluation (name-free, so
+        // isomorphic cones of different signals collide).
         let extractions: Vec<(Bog, ContentHash, ContentHash)> = (0..sog.signals().len())
             .map(|sig| {
                 let sub = rtlt_bog::extract_signal_cone(sog, sig);
@@ -715,6 +639,9 @@ impl FeaturizeJob {
             })
             .collect();
         TOTAL_SIGNALS.fetch_add(extractions.len() as u64, Ordering::Relaxed);
+        // Fingerprint multiplicity within this design: only cones that
+        // occur more than once go through the memoized `conesta` path —
+        // see `shared_cone_eval`.
         let mut multiplicity: HashMap<ContentHash, u32> = HashMap::new();
         for (_, _, fp) in &extractions {
             *multiplicity.entry(*fp).or_insert(0) += 1;
@@ -724,10 +651,9 @@ impl FeaturizeJob {
             sog: sog.clone(),
             clock,
             design_seed,
-            dedup: cone_dedup_enabled(),
             extractions,
             multiplicity,
-            scratch: FeaturizeScratch::new(),
+            scratch,
             once: HashMap::new(),
             vi: 0,
             sig: 0,
@@ -794,15 +720,11 @@ impl FeaturizeJob {
                 let n_eps = s.width as usize;
                 let seed = shard_seed(self.design_seed, vi, &s.name);
                 let key = shard_key(vi, self.clock, seed, content);
-                let dedup = self.dedup;
                 let clock = self.clock;
                 let (levels, cone_scratch) = (&mut self.scratch.levels, &mut self.scratch.cones);
                 let once = &mut self.once;
                 let multiplicity = &self.multiplicity;
                 let shard = store.get_or_compute(stage::SHARD, key, || {
-                    if !dedup {
-                        return build_cone_shard(&sub.to_variant(variant), n_eps, lib, clock, seed);
-                    }
                     if multiplicity.get(fingerprint).copied().unwrap_or(1) > 1 {
                         let (vbog, eval) = shared_cone_eval(
                             store,
@@ -819,6 +741,9 @@ impl FeaturizeJob {
                         );
                         replay_cone_shard(&vbog, &eval, n_eps, lib, clock, seed)
                     } else {
+                        // Singleton cone (~90 % of signals on the bundled
+                        // suites): compute and replay in place — no store
+                        // round-trip, no Arc, crit rows moved not cloned.
                         let vbog = sub.to_variant(variant);
                         let eval =
                             compute_cone_eval(&vbog, n_eps, lib, clock, levels, cone_scratch);
@@ -848,8 +773,14 @@ impl FeaturizeJob {
 
     /// The merged variant datasets. Panics if the job is not done.
     pub fn finish(self) -> Vec<VariantData> {
+        self.finish_with_scratch().0
+    }
+
+    /// [`FeaturizeJob::finish`] also handing back the scratch buffers for
+    /// the next design.
+    fn finish_with_scratch(self) -> (Vec<VariantData>, FeaturizeScratch) {
         assert!(self.is_done(), "FeaturizeJob finished before completion");
-        self.done
+        (self.done, self.scratch)
     }
 }
 
@@ -1031,49 +962,12 @@ mod tests {
     }
 
     #[test]
-    fn dedup_and_legacy_paths_are_bit_identical() {
-        let lib = Library::pseudo_bog();
-        for bog in [bog(), twin_bog()] {
-            for clock in [1.0, 0.37] {
-                let dedup_store = Store::in_memory();
-                let legacy_store = Store::in_memory();
-                let mut scratch = FeaturizeScratch::new();
-                let deduped = build_all_variant_data_scratch(
-                    &dedup_store,
-                    &bog,
-                    &lib,
-                    clock,
-                    7,
-                    true,
-                    &mut scratch,
-                );
-                let legacy = build_all_variant_data_scratch(
-                    &legacy_store,
-                    &bog,
-                    &lib,
-                    clock,
-                    7,
-                    false,
-                    &mut scratch,
-                );
-                assert_variant_data_eq(&deduped, &legacy);
-                // The per-seed shard cache is shaped identically either way.
-                assert_eq!(
-                    dedup_store.stats().namespace(stage::SHARD).misses,
-                    legacy_store.stats().namespace(stage::SHARD).misses,
-                );
-                assert_eq!(legacy_store.stats().namespace(stage::CONESTA).misses, 0);
-            }
-        }
-    }
-
-    #[test]
     fn isomorphic_cones_share_one_evaluation() {
         let bog = twin_bog();
         let lib = Library::pseudo_bog();
         let store = Store::in_memory();
         let mut scratch = FeaturizeScratch::new();
-        build_all_variant_data_scratch(&store, &bog, &lib, 1.0, 7, true, &mut scratch);
+        build_all_variant_data_scratch(&store, &bog, &lib, 1.0, 7, &mut scratch);
         // r1/r2 cones are isomorphic: one conesta entry per variant serves
         // both signals' shards.
         let conesta = store.stats().namespace(stage::CONESTA).misses;
@@ -1091,20 +985,20 @@ mod tests {
         let lib = Library::pseudo_bog();
         let store = Store::in_memory();
         let mut scratch = FeaturizeScratch::new();
-        let first = build_all_variant_data_scratch(&store, &bog, &lib, 1.0, 7, true, &mut scratch);
+        let first = build_all_variant_data_scratch(&store, &bog, &lib, 1.0, 7, &mut scratch);
         let conesta_misses = store.stats().namespace(stage::CONESTA).misses;
         // Different seed → different shard keys → shards recompute, but the
         // seed-independent evaluations are all served from the store.
-        let second = build_all_variant_data_scratch(&store, &bog, &lib, 1.0, 8, true, &mut scratch);
+        let second = build_all_variant_data_scratch(&store, &bog, &lib, 1.0, 8, &mut scratch);
         assert_eq!(
             store.stats().namespace(stage::CONESTA).misses,
             conesta_misses
         );
-        // Same-seed legacy rebuild for the byte-identity check.
-        let legacy_store = Store::in_memory();
-        let legacy =
-            build_all_variant_data_scratch(&legacy_store, &bog, &lib, 1.0, 8, false, &mut scratch);
-        assert_variant_data_eq(&second, &legacy);
+        // Same-seed rebuild over a fresh store, whose evaluations are all
+        // computed in-process, for the byte-identity check.
+        let fresh =
+            build_all_variant_data_scratch(&Store::in_memory(), &bog, &lib, 1.0, 8, &mut scratch);
+        assert_variant_data_eq(&second, &fresh);
         drop(first);
     }
 

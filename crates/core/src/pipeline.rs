@@ -446,7 +446,6 @@ impl<'a> PrepareStages<'a> {
             &pseudo,
             label.clock,
             label.synth_seed,
-            crate::dataset::cone_dedup_enabled(),
             scratch,
         );
 

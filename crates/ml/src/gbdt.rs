@@ -1,6 +1,6 @@
 //! Gradient-boosted decision trees with pluggable objectives.
 
-use crate::flat::{flat_predict_enabled, FlatForest};
+use crate::flat::FlatForest;
 use crate::matrix::FeatureMatrix;
 use crate::tree::{Binner, Tree, TreeParams, TreeScratch};
 use rand::rngs::StdRng;
@@ -190,25 +190,13 @@ impl Gbdt {
     /// Panics if the row width differs from training.
     pub fn predict(&self, row: &[f64]) -> f64 {
         assert_eq!(row.len(), self.n_features, "feature width mismatch");
-        if flat_predict_enabled() {
-            return self.flat.predict_row(row);
-        }
-        let mut acc = self.base;
-        for t in &self.trees {
-            acc += self.learning_rate * t.predict(row);
-        }
-        acc
+        self.flat.predict_row(row)
     }
 
     /// Batch prediction into a caller-owned buffer (cleared first) via the
-    /// flat SoA kernel, or the scalar walk under `RTLT_NO_FLAT_PREDICT=1`.
+    /// flat SoA kernel.
     pub fn predict_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
-        if flat_predict_enabled() {
-            self.flat.predict_into(rows, out);
-        } else {
-            out.clear();
-            out.extend(rows.rows().map(|r| self.predict(r)));
-        }
+        self.flat.predict_into(rows, out);
     }
 
     /// Batch prediction.

@@ -43,33 +43,16 @@ pub fn encode_entry(payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// Oldest format version this build still reads. v2 entries carry bare
-/// codec bytes where v3 carries [`crate::compress`] frames; the disk tier
-/// lifts a v2 payload into a raw frame on read, so pre-compression caches
-/// stay warm across the upgrade.
-pub const MIN_FORMAT_VERSION: u32 = 2;
-
 /// Validates one entry and returns its payload slice, or `None` for any
 /// truncation, bad magic, version mismatch, length mismatch or checksum
-/// failure. Only current-version entries pass; use
-/// [`decode_entry_versioned`] to also accept readable older versions.
+/// failure. Only current-version entries pass: an entry stamped by an
+/// older format is stale, and its slot is recomputed.
 pub fn decode_entry(bytes: &[u8]) -> Option<&[u8]> {
-    match decode_entry_versioned(bytes) {
-        Some((FORMAT_VERSION, payload)) => Some(payload),
-        _ => None,
-    }
-}
-
-/// Validates one entry accepting any readable format version
-/// ([`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`]), returning the stamped
-/// version alongside the payload so the caller can interpret the payload
-/// bytes accordingly.
-pub fn decode_entry_versioned(bytes: &[u8]) -> Option<(u32, &[u8])> {
     if bytes.len() < ENTRY_OVERHEAD || bytes[..4] != ENTRY_MAGIC {
         return None;
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return None;
     }
     let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
@@ -85,7 +68,7 @@ pub fn decode_entry_versioned(bytes: &[u8]) -> Option<(u32, &[u8])> {
     if fnv1a(payload) != checksum {
         return None;
     }
-    Some((version, payload))
+    Some(payload)
 }
 
 #[cfg(test)]
@@ -113,10 +96,14 @@ mod tests {
         for cut in 0..good.len() {
             assert_eq!(decode_entry(&good[..cut]), None, "cut {cut}");
         }
-        // Stale format version.
+        // Stale format version, including a well-formed v2 entry as a
+        // pre-compression build would have written it.
         let mut stale = good.clone();
         stale[4] ^= 0xFF;
         assert_eq!(decode_entry(&stale), None);
+        let mut v2 = good.clone();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(decode_entry(&v2), None);
         // Bad magic.
         let mut magicless = good.clone();
         magicless[0] = b'X';
@@ -125,33 +112,5 @@ mod tests {
         let mut lying = good;
         lying[8] ^= 0x7F;
         assert_eq!(decode_entry(&lying), None);
-    }
-
-    #[test]
-    fn readable_older_versions_decode_with_their_stamp() {
-        // A v2 entry, as a pre-compression build would have written it.
-        let payload = b"bare codec bytes";
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&ENTRY_MAGIC);
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        v2.extend_from_slice(payload);
-        v2.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        // Strict decoding rejects it; versioned decoding reports v2.
-        assert_eq!(decode_entry(&v2), None);
-        assert_eq!(decode_entry_versioned(&v2), Some((2u32, &payload[..])));
-        // Current-version entries report the current stamp.
-        let v3 = encode_entry(payload);
-        assert_eq!(
-            decode_entry_versioned(&v3),
-            Some((FORMAT_VERSION, &payload[..]))
-        );
-        // Versions below the floor or above the current are rejected.
-        let mut v1 = v2.clone();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(decode_entry_versioned(&v1), None);
-        let mut v99 = v2;
-        v99[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(decode_entry_versioned(&v99), None);
     }
 }

@@ -3,8 +3,8 @@
 //! The server is nothing but a [`StoreTier`] stack behind the [`wire`]
 //! protocol — a byte-LRU [`MemTier`] fronting a checksummed [`DiskTier`],
 //! the exact impls the local `Store` composes. GETs walk the stack (disk
-//! hits promote into memory), PUTs land in every tier, STAT snapshots tier
-//! sizes, GC evicts down to a budget.
+//! hits promote into memory), PUTs land in every tier, STAT2 snapshots
+//! tier sizes and live load, GC evicts down to a budget.
 //!
 //! Transport is a std-only, hand-rolled **nonblocking event loop**
 //! ([`serve`]): one thread owns the listener and every connection, all in
@@ -15,27 +15,25 @@
 //! being read until the peer drains it (backpressure), and a connection
 //! silent past [`IDLE_TIMEOUT`] is reaped. Because requests are consumed
 //! as fast as they arrive — not one lockstep exchange at a time — a
-//! generation-3 client can keep a window of [`op::TAGGED`] envelopes in
-//! flight on one connection; responses carry the request's tag, batch
-//! streams included. Untagged (v1/v2) peers see exactly the old
-//! serialized request→response behavior, byte-identically.
+//! client can keep a window of [`op::TAGGED`] envelopes in flight on one
+//! connection; responses carry the request's tag, batch streams included.
+//! Untagged frames are still answered in order, one response per request
+//! (the live session client speaks bare frames).
 //!
 //! Payload *content* is never inspected: the server moves opaque bytes
 //! whose integrity the entry checksums and content keys already pin down,
-//! so it needs no knowledge of the pipeline's artifact types. Since format
-//! v3 the tiers hold [`crate::compress`] frames; the v2 data ops
-//! (`GET2`/`PUT2`/`GETM2`) move those frames verbatim, while the v1 ops
-//! translate at the boundary — legacy PUTs are lifted into raw frames and
-//! legacy GETs are decompressed on the way out — so mixed-version fleets
-//! share one cache byte-identically. Unknown payload encodings degrade to
-//! miss (GET) or a discarded write (PUT), never to garbage.
+//! so it needs no knowledge of the pipeline's artifact types. The tiers
+//! hold [`crate::compress`] frames and the data ops (`GET2`/`PUT2`/
+//! `GETM2`) move them verbatim. Unknown payload encodings degrade to miss
+//! (GET) or a discarded write (PUT), never to garbage; unknown opcodes,
+//! the retired generation-1 data ops included, are answered `Failed` on
+//! the still-alive connection.
 //!
 //! Beyond bytes, the server holds the fleet's [`Planner`]: LEASE/REPORT/
 //! PLAN requests let workers draw design names from one shared
-//! work-stealing queue (see [`crate::plan`]), and GETM answers a whole
+//! work-stealing queue (see [`crate::plan`]), and GETM2 answers a whole
 //! key batch as a stream of bounded [`Response::BatchPart`] chunks.
 
-use crate::compress;
 use crate::plan::{LeaseGrant, Planner};
 use crate::tier::{DiskTier, MemTier, StoreTier, TierLookup};
 use crate::wire::{
@@ -74,7 +72,7 @@ pub struct ServerConfig {
 ///
 /// Transport-independent — [`ArtifactServer::handle`] maps one
 /// single-response request to its response and
-/// [`ArtifactServer::handle_batch`] maps a GETM to its chunk stream, so
+/// [`ArtifactServer::handle_batch`] maps a GETM2 to its chunk stream, so
 /// tests can drive both without sockets and [`serve`] wires them to a
 /// [`TcpListener`].
 #[derive(Debug)]
@@ -156,20 +154,10 @@ impl ArtifactServer {
         None
     }
 
-    /// Answers one single-response request ([`Request::GetBatch`] streams
+    /// Answers one single-response request ([`Request::GetBatch2`] streams
     /// instead — see [`ArtifactServer::handle_batch`]).
     pub fn handle(&self, req: Request) -> Response {
         match req {
-            // v1 GET: the tier holds a frame; the legacy client expects
-            // bare payload bytes, so decompress at the boundary. A frame
-            // that will not decompress reads as a miss.
-            Request::Get { ns, key } => match self
-                .lookup(&ns, key)
-                .and_then(|frame| compress::decompress(&frame))
-            {
-                Some(payload) => Response::Hit(payload),
-                None => Response::Miss,
-            },
             Request::Get2 { ns, key, encoding } => {
                 if encoding != PAYLOAD_ENCODING_FRAME {
                     // Unknown encoding: degrade to a miss — the client
@@ -181,8 +169,8 @@ impl ArtifactServer {
                     None => Response::Miss,
                 }
             }
-            Request::GetBatch { .. } | Request::GetBatch2 { .. } => {
-                Response::Failed("GETM is a streaming request; use handle_batch".to_owned())
+            Request::GetBatch2 { .. } => {
+                Response::Failed("GETM2 is a streaming request; use handle_batch".to_owned())
             }
             Request::Lease { worker } => match self.planner.lease(&worker) {
                 LeaseGrant::Granted { design } => Response::Leased { design },
@@ -202,15 +190,6 @@ impl ArtifactServer {
                 Response::Done(Default::default())
             }
             Request::PlanStat => Response::PlanStats(self.planner.stats()),
-            // v1 PUT carries bare payload bytes; lift them into the frame
-            // space the tiers hold.
-            Request::Put { ns, key, payload } => {
-                let frame = compress::raw_frame(&payload);
-                for tier in &self.tiers {
-                    tier.put_bytes(&ns, key, &frame);
-                }
-                Response::Done(Default::default())
-            }
             Request::Put2 {
                 ns,
                 key,
@@ -226,7 +205,6 @@ impl ArtifactServer {
                 }
                 Response::Done(Default::default())
             }
-            Request::Stat => Response::Stats(self.tiers.iter().map(|t| t.stats()).collect()),
             Request::Stat2 => Response::ServerStats(ServerLoad {
                 tiers: self.tiers.iter().map(|t| t.stats()).collect(),
                 connections: self.metrics.connections(),
@@ -242,9 +220,8 @@ impl ArtifactServer {
             }
             // Session verbs belong to the live annotation service. The
             // artifact store refuses them on a live connection — the same
-            // `Failed` a pre-session server would produce for the unknown
-            // opcode — and the session client degrades to local
-            // annotation, byte-identically.
+            // `Failed` it answers an unknown opcode with — and the session
+            // client degrades to local annotation, byte-identically.
             Request::Open { .. }
             | Request::Edit { .. }
             | Request::Annotate { .. }
@@ -254,7 +231,7 @@ impl ArtifactServer {
         }
     }
 
-    /// Answers a [`Request::GetBatch`] as a stream of
+    /// Answers a [`Request::GetBatch2`] as a stream of
     /// [`Response::BatchPart`] chunks, handing each chunk to `emit` as
     /// soon as it is full — the server never materializes more than one
     /// chunk (plus the payload being looked up), so a near-budget batch
@@ -264,12 +241,8 @@ impl ArtifactServer {
     /// the *cumulative* frame-body bytes of the whole answer are capped at
     /// [`MAX_CONN_INFLIGHT`] — hits past the cap degrade to misses (the
     /// client recomputes them), so a batch of maximum-size payloads can
-    /// never balloon either side of the connection.
-    ///
-    /// With `frames` the hit payloads are emitted as the compress frames
-    /// the tiers hold (GETM2); without it each frame is decompressed at
-    /// the boundary for a legacy GETM client (an undecompressible frame
-    /// reads as a miss). The budget charges whatever actually travels.
+    /// never balloon either side of the connection. Hit payloads travel as
+    /// the compress frames the tiers hold.
     ///
     /// # Errors
     ///
@@ -278,7 +251,6 @@ impl ArtifactServer {
         &self,
         items: &[(String, ContentHash)],
         chunk_bytes: u64,
-        frames: bool,
         mut emit: impl FnMut(Response) -> Result<(), E>,
     ) -> Result<(), E> {
         if items.len() > MAX_BATCH_KEYS {
@@ -303,12 +275,7 @@ impl ArtifactServer {
             // MAX_BATCH_KEYS items this charge alone can never exhaust
             // the budget.
             budget = budget.saturating_sub(ITEM_OVERHEAD);
-            let hit = match self.lookup(ns, *key) {
-                Some(frame) if frames => Some(frame),
-                Some(frame) => compress::decompress(&frame),
-                None => None,
-            };
-            let payload = match hit {
+            let payload = match self.lookup(ns, *key) {
                 Some(p) if (p.len() as u64) <= budget => {
                     budget -= p.len() as u64;
                     Some(p)
@@ -335,8 +302,8 @@ impl ArtifactServer {
     }
 
     /// Collecting form of [`ArtifactServer::stream_batch`] with the
-    /// production [`MAX_BATCH_CHUNK`] threshold and legacy (decompressed)
-    /// payloads — for tests and transports that want the parts as a `Vec`.
+    /// production [`MAX_BATCH_CHUNK`] threshold — for tests and transports
+    /// that want the parts as a `Vec`.
     pub fn handle_batch(&self, items: &[(String, ContentHash)]) -> Vec<Response> {
         self.handle_batch_chunked(items, MAX_BATCH_CHUNK)
     }
@@ -348,7 +315,7 @@ impl ArtifactServer {
         chunk_bytes: u64,
     ) -> Vec<Response> {
         let mut parts = Vec::new();
-        let _ = self.stream_batch(items, chunk_bytes, false, |part| {
+        let _ = self.stream_batch(items, chunk_bytes, |part| {
             parts.push(part);
             Ok::<(), std::convert::Infallible>(())
         });
@@ -433,8 +400,8 @@ impl Conn {
                 Ok((t, f)) => (Some(t), f),
                 Err(e) => {
                     // The envelope itself is malformed: no tag to echo, so
-                    // answer bare — the peer's demux treats an untagged
-                    // Failed as a protocol-level refusal.
+                    // answer bare — the client treats an untagged
+                    // response as a protocol error.
                     self.queue(None, &Response::Failed(e.to_string()).to_frame());
                     self.settle();
                     return;
@@ -447,15 +414,9 @@ impl Conn {
             // Batch answers stream in bounded chunks; under a tagged
             // envelope every chunk carries the request's tag, so the
             // stream can interleave with other in-flight exchanges.
-            Ok(Request::GetBatch { items }) => {
-                let _ = server.stream_batch(&items, MAX_BATCH_CHUNK, false, |part| {
-                    self.queue(tag, &part.to_frame());
-                    Ok::<(), std::convert::Infallible>(())
-                });
-            }
             Ok(Request::GetBatch2 { items, encoding }) => {
                 if encoding == PAYLOAD_ENCODING_FRAME {
-                    let _ = server.stream_batch(&items, MAX_BATCH_CHUNK, true, |part| {
+                    let _ = server.stream_batch(&items, MAX_BATCH_CHUNK, |part| {
                         self.queue(tag, &part.to_frame());
                         Ok::<(), std::convert::Infallible>(())
                     });
@@ -651,65 +612,88 @@ pub fn spawn(addr: &str, cfg: &ServerConfig) -> std::io::Result<std::net::Socket
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress;
     use crate::hash::KeyBuilder;
+    use crate::wire::tag_request;
     use crate::ContentHash;
 
     fn key(n: u64) -> ContentHash {
         KeyBuilder::new("server-test").u64(n).finish()
     }
 
+    fn get2(ns: &str, key: ContentHash) -> Request {
+        Request::Get2 {
+            ns: ns.into(),
+            key,
+            encoding: PAYLOAD_ENCODING_FRAME,
+        }
+    }
+
+    fn put2(ns: &str, key: ContentHash, payload: Vec<u8>) -> Request {
+        Request::Put2 {
+            ns: ns.into(),
+            key,
+            encoding: PAYLOAD_ENCODING_FRAME,
+            payload,
+        }
+    }
+
     #[test]
     fn handle_round_trips_get_put_stat_gc() {
         let server = ArtifactServer::with_tiers(vec![Arc::new(MemTier::new(1 << 20))]);
+        assert_eq!(server.handle(get2("ns", key(1))), Response::Miss);
+        let frame = compress::raw_frame(&[1, 2, 3]);
+        assert!(matches!(
+            server.handle(put2("ns", key(1), frame.clone())),
+            Response::Done(_)
+        ));
         assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(1)
-            }),
-            Response::Miss
+            server.handle(get2("ns", key(1))),
+            Response::Hit(frame.clone())
         );
-        let put = Request::Put {
-            ns: "ns".into(),
-            key: key(1),
-            payload: vec![1, 2, 3],
-        };
-        assert!(matches!(server.handle(put), Response::Done(_)));
-        assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(1)
-            }),
-            Response::Hit(vec![1, 2, 3])
-        );
-        match server.handle(Request::Stat) {
-            Response::Stats(tiers) => {
-                assert_eq!(tiers.len(), 1);
-                assert_eq!(tiers[0].entries, 1);
+        match server.handle(Request::Stat2) {
+            Response::ServerStats(load) => {
+                assert_eq!(load.tiers.len(), 1);
+                assert_eq!(load.tiers[0].entries, 1);
+                assert_eq!(load.wire_version, WIRE_VERSION);
             }
             other => panic!("unexpected {other:?}"),
         }
+        // Unknown encodings degrade: GET2 to a miss, PUT2 to a lost write.
+        assert_eq!(
+            server.handle(Request::Get2 {
+                ns: "ns".into(),
+                key: key(1),
+                encoding: 42,
+            }),
+            Response::Miss
+        );
+        assert!(matches!(
+            server.handle(Request::Put2 {
+                ns: "ns".into(),
+                key: key(3),
+                encoding: 42,
+                payload: frame,
+            }),
+            Response::Done(_)
+        ));
+        assert_eq!(
+            server.handle(get2("ns", key(3))),
+            Response::Miss,
+            "unknown-encoding writes are discarded, not stored as garbage"
+        );
         match server.handle(Request::Gc { budget_bytes: 0 }) {
             Response::Done(r) => assert_eq!(r.evicted_files, 1),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(1)
-            }),
-            Response::Miss
-        );
+        assert_eq!(server.handle(get2("ns", key(1))), Response::Miss);
     }
 
     #[test]
     fn batched_get_streams_in_bounded_chunks() {
         let server = ArtifactServer::with_tiers(vec![Arc::new(MemTier::new(1 << 20))]);
         for i in 0..4u64 {
-            server.handle(Request::Put {
-                ns: "ns".into(),
-                key: key(i),
-                payload: vec![i as u8; 100],
-            });
+            server.handle(put2("ns", key(i), vec![i as u8; 100]));
         }
         let items: Vec<(String, ContentHash)> = (0..6u64).map(|i| ("ns".into(), key(i))).collect();
         // Chunk threshold of 150 bytes: 100-byte payloads flush after
@@ -743,9 +727,12 @@ mod tests {
             server.handle_batch(&huge).as_slice(),
             [Response::Failed(_)]
         ));
-        // And GETM through the single-response path is a typed failure.
+        // And GETM2 through the single-response path is a typed failure.
         assert!(matches!(
-            server.handle(Request::GetBatch { items }),
+            server.handle(Request::GetBatch2 {
+                items,
+                encoding: PAYLOAD_ENCODING_FRAME,
+            }),
             Response::Failed(_)
         ));
     }
@@ -795,66 +782,69 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_ops_share_one_cache() {
-        let server = ArtifactServer::with_tiers(vec![Arc::new(MemTier::new(1 << 20))]);
-        // A v2 PUT stores the frame; a legacy GET sees the decoded bytes.
-        let payload: Vec<u8> = (0..200u16).map(|i| (i / 8) as u8).collect();
-        server.handle(Request::Put2 {
-            ns: "ns".into(),
-            key: key(1),
-            encoding: PAYLOAD_ENCODING_FRAME,
-            payload: compress::compress(&payload),
-        });
-        assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(1)
-            }),
-            Response::Hit(payload.clone())
-        );
-        // A legacy PUT is lifted into a raw frame; a v2 GET sees a frame
-        // that decodes to the same bytes.
-        server.handle(Request::Put {
-            ns: "ns".into(),
-            key: key(2),
-            payload: payload.clone(),
-        });
-        match server.handle(Request::Get2 {
-            ns: "ns".into(),
-            key: key(2),
-            encoding: PAYLOAD_ENCODING_FRAME,
-        }) {
-            Response::Hit(frame) => {
-                assert_eq!(compress::decompress(&frame).as_deref(), Some(&payload[..]));
-            }
-            other => panic!("unexpected {other:?}"),
+    fn retired_v1_opcodes_are_refused_on_a_live_connection() {
+        // The generation-1 data ops GET=1, PUT=2, STAT=3 and GETM=5 no
+        // longer decode; the event loop answers them `Failed` — bare or
+        // tagged — and keeps serving the connection.
+        const RETIRED: [u8; 4] = [1, 2, 3, 5];
+        let body = get2("ns", key(1)).to_frame().body;
+        for op in RETIRED {
+            assert_eq!(
+                Request::from_frame(&Frame {
+                    op,
+                    body: body.clone(),
+                }),
+                Err(crate::wire::WireError::Malformed("request opcode"))
+            );
         }
-        // Unknown encodings degrade: GET2 to a miss, PUT2 to a lost write.
-        assert_eq!(
-            server.handle(Request::Get2 {
-                ns: "ns".into(),
-                key: key(1),
-                encoding: 42,
-            }),
-            Response::Miss
-        );
+        let scratch = std::env::temp_dir().join(format!("rtlt-stored-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&scratch);
+        let cfg = ServerConfig {
+            dir: scratch.clone(),
+            mem_budget: 1 << 20,
+            lease_timeout: crate::plan::DEFAULT_LEASE_TIMEOUT,
+        };
+        let addr = spawn("127.0.0.1:0", &cfg).expect("bind ephemeral port");
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut exchange = |frame: Frame| {
+            frame.write_to(&mut conn).expect("write");
+            Frame::read_from(&mut conn).expect("answered on a live connection")
+        };
+        for op in RETIRED {
+            let reply = exchange(Frame {
+                op,
+                body: body.clone(),
+            });
+            assert!(
+                matches!(Response::from_frame(&reply), Ok(Response::Failed(_))),
+                "op {op}"
+            );
+            let reply = exchange(tag_request(
+                u64::from(op),
+                &Frame {
+                    op,
+                    body: body.clone(),
+                },
+            ));
+            let (tag, inner) = untag(&reply).expect("tagged reply");
+            assert_eq!(tag, u64::from(op));
+            assert!(matches!(
+                Response::from_frame(&inner),
+                Ok(Response::Failed(_))
+            ));
+        }
+        // The same connection still serves the current data ops.
+        let frame = compress::raw_frame(b"still alive");
+        let reply = exchange(put2("ns", key(1), frame.clone()).to_frame());
         assert!(matches!(
-            server.handle(Request::Put2 {
-                ns: "ns".into(),
-                key: key(3),
-                encoding: 42,
-                payload: compress::raw_frame(&payload),
-            }),
-            Response::Done(_)
+            Response::from_frame(&reply),
+            Ok(Response::Done(_))
         ));
-        assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(3)
-            }),
-            Response::Miss,
-            "unknown-encoding writes are discarded, not stored as garbage"
-        );
+        let reply = exchange(get2("ns", key(1)).to_frame());
+        assert_eq!(Response::from_frame(&reply), Ok(Response::Hit(frame)));
+        let _ = std::fs::remove_dir_all(&scratch);
     }
 
     #[test]
@@ -863,15 +853,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&scratch);
         let mem = Arc::new(MemTier::new(1 << 20));
         let disk = Arc::new(DiskTier::new(&scratch));
-        disk.put_bytes("ns", key(2), &compress::raw_frame(&[7; 10]));
+        let frame = compress::raw_frame(&[7; 10]);
+        disk.put_bytes("ns", key(2), &frame);
         let server = ArtifactServer::with_tiers(vec![mem.clone(), disk]);
-        assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(2)
-            }),
-            Response::Hit(vec![7; 10])
-        );
+        assert_eq!(server.handle(get2("ns", key(2))), Response::Hit(frame));
         assert_eq!(mem.stats().entries, 1, "promoted");
         let _ = std::fs::remove_dir_all(&scratch);
     }

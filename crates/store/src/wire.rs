@@ -6,23 +6,17 @@
 //! refuse each other's frames, which the client maps to "miss, recompute"
 //! (never an error). The frame version is deliberately decoupled both from
 //! the on-disk [`FORMAT_VERSION`] and from the protocol generation
-//! [`WIRE_VERSION`]: neither the disk format moving to compressed payloads
-//! (generation 2) nor tagged multiplexed framing (generation 3) changed
-//! the byte layout of a frame, so old and new nodes keep exchanging
-//! frames and negotiate *capabilities* per opcode instead. A peer that
-//! does not know an opcode answers [`Response::Failed`] on the still-alive
-//! connection, which the client takes as "older peer — fall back":
+//! [`WIRE_VERSION`]: it moves only when the byte layout of a frame does.
 //!
-//! * generation 2 — [`Request::Get2`]/[`Request::Put2`]/
-//!   [`Request::GetBatch2`] carry an encoding tag
-//!   ([`PAYLOAD_ENCODING_FRAME`] = compress frames); refused, the client
-//!   falls back to the v1 ops with bare payloads.
-//! * generation 3 — [`op::TAGGED`] envelopes prefix a request id to any
-//!   inner op (see [`tag_request`]/[`untag`]), so one connection carries
-//!   many in-flight exchanges and responses are matched by tag, not by
-//!   order; refused, the client falls back to serialized one-at-a-time
-//!   exchanges. [`Request::Stat2`] additionally reports live server load
-//!   ([`Response::ServerStats`]).
+//! The data ops carry an encoding tag ([`PAYLOAD_ENCODING_FRAME`] =
+//! [`crate::compress`] frames, the bytes the tiers hold), and any request
+//! may travel in an [`op::TAGGED`] envelope that prefixes a request id
+//! (see [`tag_request`]/[`untag`]), so one connection carries many
+//! in-flight exchanges and responses are matched by tag, not by order.
+//! A peer that does not know an opcode answers [`Response::Failed`] on
+//! the still-alive connection; that is how the session verbs are refused
+//! by a plain artifact server. The generation-1 data ops (opcodes 1, 2, 3
+//! and 5) are retired and refused the same way.
 //!
 //! ```text
 //! frame := magic "RTLW" (4) | version u32 | op u8 | body_len u64
@@ -30,15 +24,16 @@
 //! tagged body := tag u64 | inner op u8 | inner body
 //! ```
 //!
-//! Requests: [`Request::Get`], [`Request::Put`], [`Request::GetBatch`],
-//! [`Request::Stat`], [`Request::Gc`], plus the shard-planner verbs
+//! Requests: [`Request::Get2`], [`Request::Put2`], [`Request::GetBatch2`],
+//! [`Request::Stat2`], [`Request::Gc`], the shard-planner verbs
 //! [`Request::Lease`], [`Request::Report`], [`Request::Plan`] and
-//! [`Request::PlanStat`]. Responses: [`Response::Hit`], [`Response::Miss`],
-//! [`Response::BatchPart`], [`Response::Done`], [`Response::Stats`],
-//! [`Response::ServerStats`], [`Response::Leased`], [`Response::Drained`],
-//! [`Response::PlanStats`], [`Response::Failed`].
+//! [`Request::PlanStat`], and the live-session verbs. Responses:
+//! [`Response::Hit`], [`Response::Miss`], [`Response::BatchPart`],
+//! [`Response::Done`], [`Response::ServerStats`], [`Response::Leased`],
+//! [`Response::Drained`], [`Response::PlanStats`], [`Response::Session`],
+//! [`Response::Annotation`], [`Response::Failed`].
 //!
-//! One request maps to one response *frame* — except [`Request::GetBatch`],
+//! One request maps to one response *frame* — except [`Request::GetBatch2`],
 //! which the server answers with a short stream of [`Response::BatchPart`]
 //! frames (bounded chunks, the final one flagged `last`), so a whole
 //! prepare-key set pipelines through one round trip without ever
@@ -68,22 +63,19 @@ pub const WIRE_MAGIC: [u8; 4] = *b"RTLW";
 
 /// Frame-header version stamped into every frame. Historically this was
 /// the on-disk `FORMAT_VERSION`; it is pinned at 2 (the value both sides
-/// stamped before the two diverged) so that protocol growth does not
-/// sever the wire — capability negotiation happens per opcode, not per
-/// frame header. Bumping this severs every older peer at the frame level
-/// (they error without answering), so it only moves when the frame *byte
-/// layout* changes.
+/// stamped before the two diverged). Bumping it severs every other peer at
+/// the frame level (they error without answering), so it only moves when
+/// the frame *byte layout* changes.
 pub const FRAME_VERSION: u32 = 2;
 
-/// Protocol generation of this build: 1 = bare-payload ops, 2 =
-/// encoding-tagged data ops (`GET2`/`PUT2`/`GETM2`), 3 = tagged
-/// multiplexed framing ([`op::TAGGED`]) and server-load stats
-/// ([`Request::Stat2`]). Purely informational — generations are
-/// negotiated per opcode (see the module docs), never stamped into frame
+/// Protocol generation of this build: encoding-tagged data ops
+/// (`GET2`/`PUT2`/`GETM2`) under tagged multiplexed framing
+/// ([`op::TAGGED`]) with server-load stats ([`Request::Stat2`]). Purely
+/// informational — reported in [`ServerLoad`], never stamped into frame
 /// headers (that stays [`FRAME_VERSION`]).
 pub const WIRE_VERSION: u32 = 3;
 
-/// Payload-encoding tag of the v2 data opcodes: the payload bytes are a
+/// Payload-encoding tag of the data opcodes: the payload bytes are a
 /// [`crate::compress`] frame (mode-tagged, possibly compressed). A server
 /// receiving an unknown tag answers [`Response::Miss`] (GET) or discards
 /// the write (PUT) — unknown encodings degrade to miss→recompute, never
@@ -97,12 +89,12 @@ pub const MAX_FRAME_BODY: u64 = 1 << 30;
 /// Cumulative in-flight byte budget of one connection. The protocol is
 /// strictly request → response, so at most one exchange is in flight per
 /// connection at a time; this bounds the *sum* of frame bodies across a
-/// multi-frame exchange (a [`Request::GetBatch`] response stream), where
+/// multi-frame exchange (a [`Request::GetBatch2`] response stream), where
 /// the per-frame [`MAX_FRAME_BODY`] cap alone would still let a batch of
 /// maximum-size frames balloon unboundedly.
 pub const MAX_CONN_INFLIGHT: u64 = 1 << 30;
 
-/// Upper bound on the number of keys in one [`Request::GetBatch`].
+/// Upper bound on the number of keys in one [`Request::GetBatch2`].
 pub const MAX_BATCH_KEYS: usize = 4096;
 
 /// Soft flush threshold of one [`Response::BatchPart`]: the server packs
@@ -120,18 +112,12 @@ pub const MAX_EDIT_SPLICES: usize = 4096;
 /// Fixed frame header size: magic + version + op + body length.
 pub const FRAME_HEADER: usize = 4 + 4 + 1 + 8;
 
-/// Request opcodes.
+/// Request and response opcodes. Opcodes 1, 2, 3 and 5 (the retired
+/// generation-1 data ops) and response 0x84 are unassigned; servers refuse
+/// the requests as unknown.
 pub mod op {
-    /// Fetch a payload.
-    pub const GET: u8 = 1;
-    /// Store a payload.
-    pub const PUT: u8 = 2;
-    /// Size snapshot of the server's tiers.
-    pub const STAT: u8 = 3;
     /// Evict the server's tiers down to a budget.
     pub const GC: u8 = 4;
-    /// Fetch a batch of payloads in one round trip.
-    pub const GETM: u8 = 5;
     /// Lease one design name from the server-held work queue.
     pub const LEASE: u8 = 6;
     /// Report a leased design prepared (or refused).
@@ -140,20 +126,16 @@ pub mod op {
     pub const PLAN: u8 = 8;
     /// Snapshot of the shard planner's counters.
     pub const PLANSTAT: u8 = 9;
-    /// Fetch a payload in a tagged encoding (compress frames). Legacy
-    /// servers answer `FAILED` ("request opcode"), which the client takes
-    /// as its cue to fall back to [`GET`].
+    /// Fetch a payload in a tagged encoding (compress frames).
     pub const GET2: u8 = 10;
     /// Store a payload in a tagged encoding.
     pub const PUT2: u8 = 11;
-    /// Batched fetch in a tagged encoding.
+    /// Batched fetch in a tagged encoding, in one round trip.
     pub const GETM2: u8 = 12;
     /// Multiplexing envelope: `tag u64 | inner op u8 | inner body`. The
     /// response(s) to the inner request come back wrapped in
     /// [`TAGGED_RESP`] envelopes carrying the same tag, so one connection
-    /// holds many exchanges in flight at once. Servers older than
-    /// generation 3 answer `FAILED` ("request opcode"), which the client
-    /// takes as its cue to serialize exchanges instead.
+    /// holds many exchanges in flight at once.
     pub const TAGGED: u8 = 13;
     /// Live server-load snapshot: tier stats plus connection and
     /// in-flight exchange gauges ([`super::Response::ServerStats`]).
@@ -162,7 +144,7 @@ pub mod op {
     /// Artifact-store servers (and any pre-session peer) answer `FAILED`
     /// ("request opcode"), which the session client takes as its cue to
     /// annotate locally — per-opcode capability negotiation, no header
-    /// bump, exactly like [`GET2`]/[`STAT2`].
+    /// bump.
     pub const OPEN: u8 = 15;
     /// Apply a line-splice diff to an open session's source mirror.
     pub const EDIT: u8 = 16;
@@ -177,8 +159,6 @@ pub mod op {
     pub const MISS: u8 = 0x82;
     /// Response: write/gc acknowledged.
     pub const DONE: u8 = 0x83;
-    /// Response: tier stats attached.
-    pub const STATS: u8 = 0x84;
     /// Response: one chunk of a batched fetch.
     pub const BATCH: u8 = 0x85;
     /// Response: a design lease was granted.
@@ -427,7 +407,7 @@ impl Frame {
     }
 }
 
-/// Wraps a request frame in a generation-3 multiplexing envelope: the
+/// Wraps a request frame in a multiplexing envelope: the
 /// returned [`op::TAGGED`] frame carries `tag`, the inner opcode and the
 /// inner body. The server answers with one or more [`op::TAGGED_RESP`]
 /// frames carrying the same tag.
@@ -574,8 +554,8 @@ fn dec_payload(d: &mut Dec<'_>) -> Result<Vec<u8>, WireError> {
 }
 
 /// Live load snapshot of an `rtlt-stored` server, answered to
-/// [`Request::Stat2`]: the tier sizes the plain STAT reports, plus the
-/// event loop's connection and in-flight gauges.
+/// [`Request::Stat2`]: the tier sizes plus the event loop's connection and
+/// in-flight gauges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerLoad {
     /// Size snapshots of the server's tiers, in fallback order.
@@ -625,33 +605,8 @@ pub struct AnnotationReply {
 /// A client→server request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Fetch the payload under `(ns, key)`.
-    Get {
-        /// Stage namespace.
-        ns: String,
-        /// Content key.
-        key: ContentHash,
-    },
-    /// Store `payload` under `(ns, key)`.
-    Put {
-        /// Stage namespace.
-        ns: String,
-        /// Content key.
-        key: ContentHash,
-        /// Artifact payload bytes.
-        payload: Vec<u8>,
-    },
-    /// Fetch the payloads under a whole `(ns, key)` set in one round trip.
-    /// Answered by a stream of [`Response::BatchPart`] frames.
-    GetBatch {
-        /// `(namespace, key)` pairs, at most [`MAX_BATCH_KEYS`].
-        items: Vec<(String, ContentHash)>,
-    },
-    /// Size snapshot of the server's tiers.
-    Stat,
     /// Live load snapshot ([`ServerLoad`]): tier sizes plus connection and
-    /// in-flight gauges. Servers older than generation 3 answer `Failed`;
-    /// the client reads that as "no load data", never as an error.
+    /// in-flight gauges.
     Stat2,
     /// Evict the server's tiers down to `budget_bytes`.
     Gc {
@@ -716,9 +671,9 @@ pub enum Request {
         /// Payload bytes in the tagged encoding.
         payload: Vec<u8>,
     },
-    /// Batched fetch with every hit payload in the tagged encoding.
-    /// Answered by a stream of [`Response::BatchPart`] frames, like
-    /// [`Request::GetBatch`].
+    /// Fetch the payloads under a whole `(ns, key)` set in one round trip,
+    /// every hit payload in the tagged encoding. Answered by a stream of
+    /// [`Response::BatchPart`] frames.
     GetBatch2 {
         /// `(namespace, key)` pairs, at most [`MAX_BATCH_KEYS`].
         items: Vec<(String, ContentHash)>,
@@ -768,26 +723,6 @@ impl Request {
     pub fn to_frame(&self) -> Frame {
         let mut e = Enc::new();
         let op = match self {
-            Request::Get { ns, key } => {
-                e.str(ns);
-                key.encode(&mut e);
-                op::GET
-            }
-            Request::Put { ns, key, payload } => {
-                e.str(ns);
-                key.encode(&mut e);
-                enc_payload(&mut e, payload);
-                op::PUT
-            }
-            Request::GetBatch { items } => {
-                e.seq_len(items.len());
-                for (ns, key) in items {
-                    e.str(ns);
-                    key.encode(&mut e);
-                }
-                op::GETM
-            }
-            Request::Stat => op::STAT,
             Request::Stat2 => op::STAT2,
             Request::Gc { budget_bytes } => {
                 e.u64(*budget_bytes);
@@ -890,32 +825,6 @@ impl Request {
     pub fn from_frame(frame: &Frame) -> Result<Request, WireError> {
         let mut d = Dec::new(&frame.body);
         let req = match frame.op {
-            op::GET => Request::Get {
-                ns: d.str().map_err(|_| WireError::Malformed("get ns"))?,
-                key: ContentHash::decode(&mut d).map_err(|_| WireError::Malformed("get key"))?,
-            },
-            op::PUT => Request::Put {
-                ns: d.str().map_err(|_| WireError::Malformed("put ns"))?,
-                key: ContentHash::decode(&mut d).map_err(|_| WireError::Malformed("put key"))?,
-                payload: dec_payload(&mut d)?,
-            },
-            op::GETM => {
-                let n = d
-                    .seq_len(1 + 32)
-                    .map_err(|_| WireError::Malformed("batch len"))?;
-                if n > MAX_BATCH_KEYS {
-                    return Err(WireError::Malformed("batch key count"));
-                }
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let ns = d.str().map_err(|_| WireError::Malformed("batch ns"))?;
-                    let key = ContentHash::decode(&mut d)
-                        .map_err(|_| WireError::Malformed("batch key"))?;
-                    items.push((ns, key));
-                }
-                Request::GetBatch { items }
-            }
-            op::STAT => Request::Stat,
             op::STAT2 => Request::Stat2,
             op::GC => Request::Gc {
                 budget_bytes: d.u64().map_err(|_| WireError::Malformed("gc budget"))?,
@@ -1025,7 +934,7 @@ pub enum Response {
     Hit(Vec<u8>),
     /// The key was not held.
     Miss,
-    /// One chunk of a [`Request::GetBatch`] answer: `(index, payload)`
+    /// One chunk of a [`Request::GetBatch2`] answer: `(index, payload)`
     /// pairs by request position (`None` = that key missed). The final
     /// chunk of the stream is flagged `last`.
     BatchPart {
@@ -1036,8 +945,6 @@ pub enum Response {
     },
     /// Write/gc acknowledged; gc responses carry the eviction report.
     Done(GcReport),
-    /// Tier size snapshot.
-    Stats(Vec<TierStats>),
     /// Live server-load snapshot ([`Request::Stat2`]).
     ServerStats(ServerLoad),
     /// A design lease was granted.
@@ -1155,10 +1062,6 @@ impl Response {
                 e.u64(r.remaining_bytes);
                 op::DONE
             }
-            Response::Stats(tiers) => {
-                enc_tier_stats(&mut e, tiers);
-                op::STATS
-            }
             Response::ServerStats(load) => {
                 enc_tier_stats(&mut e, &load.tiers);
                 e.u64(load.connections);
@@ -1256,7 +1159,6 @@ impl Response {
                     remaining_bytes: next()?,
                 })
             }
-            op::STATS => Response::Stats(dec_tier_stats(&mut d)?),
             op::SERVERSTATS => Response::ServerStats(ServerLoad {
                 tiers: dec_tier_stats(&mut d)?,
                 connections: d.u64().map_err(|_| WireError::Malformed("connections"))?,
@@ -1342,25 +1244,6 @@ mod tests {
     fn request_frames_round_trip() {
         let key = KeyBuilder::new("wire").u64(1).finish();
         for req in [
-            Request::Get {
-                ns: "featurize".into(),
-                key,
-            },
-            Request::Put {
-                ns: "blast".into(),
-                key,
-                payload: vec![0, 1, 2, 255],
-            },
-            Request::Put {
-                ns: "empty".into(),
-                key,
-                payload: Vec::new(),
-            },
-            Request::GetBatch {
-                items: vec![("featurize".into(), key), ("blast".into(), key)],
-            },
-            Request::GetBatch { items: Vec::new() },
-            Request::Stat,
             Request::Stat2,
             Request::Gc { budget_bytes: 42 },
             Request::Lease {
@@ -1387,6 +1270,12 @@ mod tests {
                 key,
                 encoding: PAYLOAD_ENCODING_FRAME,
                 payload: vec![0, 99, 1],
+            },
+            Request::Put2 {
+                ns: "empty".into(),
+                key,
+                encoding: PAYLOAD_ENCODING_FRAME,
+                payload: Vec::new(),
             },
             Request::GetBatch2 {
                 items: vec![("featurize".into(), key), ("blast".into(), key)],
@@ -1435,26 +1324,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_peers_reject_v2_opcodes_as_malformed() {
-        // What a pre-compression server does with a GET2 frame: the frame
-        // itself reads fine (same WIRE_VERSION), but the opcode is unknown,
-        // which `serve_connection` turns into `Response::Failed` — the
-        // client's signal to fall back to the v1 ops.
-        let key = KeyBuilder::new("wire").u64(3).finish();
-        let frame = Request::Get2 {
-            ns: "featurize".into(),
-            key,
-            encoding: PAYLOAD_ENCODING_FRAME,
-        }
-        .to_frame();
-        let read = frame_round_trip(&frame);
-        assert_eq!(read.op, op::GET2);
-        // A legacy `Request::from_frame` has no arm for op 10..=12; the
-        // current one decodes it, so emulate the legacy dispatch here.
-        assert!(read.op > op::PLANSTAT, "v2 opcodes sit above the v1 range");
-    }
-
-    #[test]
     fn response_frames_round_trip() {
         for resp in [
             Response::Hit(vec![9; 100]),
@@ -1466,13 +1335,6 @@ mod tests {
                 evicted_bytes: 4,
                 remaining_bytes: 5,
             }),
-            Response::Stats(vec![TierStats {
-                kind: TierKind::Disk,
-                detail: "/tmp/x".into(),
-                entries: 7,
-                bytes: 8,
-                reachable: true,
-            }]),
             Response::ServerStats(ServerLoad {
                 tiers: vec![TierStats {
                     kind: TierKind::Memory,
@@ -1587,8 +1449,8 @@ mod tests {
     fn session_opcodes_sit_in_the_negotiable_range() {
         // Pre-session peers (the artifact store's `serve_connection`)
         // answer unknown opcodes with `Failed` on a live connection; the
-        // session verbs rely on that, exactly like GET2/STAT2 before
-        // them. A header version bump would instead kill the connection.
+        // session verbs rely on that. A header version bump would instead
+        // kill the connection.
         for req in [
             Request::Open {
                 design: "d".into(),
@@ -1605,11 +1467,12 @@ mod tests {
 
     #[test]
     fn oversized_batch_request_is_malformed() {
-        // A well-formed GETM with one key too many is rejected at decode,
+        // A well-formed GETM2 with one key too many is rejected at decode,
         // before any per-key work.
         let key = KeyBuilder::new("wire").u64(9).finish();
-        let frame = Request::GetBatch {
+        let frame = Request::GetBatch2 {
             items: (0..=MAX_BATCH_KEYS).map(|_| (String::new(), key)).collect(),
+            encoding: PAYLOAD_ENCODING_FRAME,
         }
         .to_frame();
         assert_eq!(
@@ -1619,9 +1482,10 @@ mod tests {
         // A lying length header with no body behind it fails even earlier,
         // at the sequence-length sanity check.
         let mut e = Enc::new();
+        e.u8(PAYLOAD_ENCODING_FRAME);
         e.seq_len(MAX_BATCH_KEYS + 1);
         let lying = Frame {
-            op: op::GETM,
+            op: op::GETM2,
             body: e.into_bytes(),
         };
         assert!(matches!(
@@ -1664,7 +1528,7 @@ mod tests {
     #[test]
     fn oversized_length_header_is_rejected_before_allocating() {
         let mut bytes = Frame {
-            op: op::GET,
+            op: op::GET2,
             body: Vec::new(),
         }
         .to_bytes();
@@ -1698,9 +1562,10 @@ mod tests {
 
     #[test]
     fn truncated_and_corrupt_frames_are_rejected() {
-        let bytes = Request::Put {
+        let bytes = Request::Put2 {
             ns: "ns".into(),
             key: KeyBuilder::new("wire").u64(2).finish(),
+            encoding: PAYLOAD_ENCODING_FRAME,
             payload: vec![1; 64],
         }
         .to_frame()
@@ -1766,12 +1631,13 @@ mod tests {
     fn reassembler_yields_frames_across_arbitrary_chunk_splits() {
         let key = KeyBuilder::new("wire").u64(6).finish();
         let frames = [
-            Request::Stat.to_frame(),
+            Request::Stat2.to_frame(),
             tag_request(
                 3,
-                &Request::Put {
+                &Request::Put2 {
                     ns: "blast".into(),
                     key,
+                    encoding: PAYLOAD_ENCODING_FRAME,
                     payload: vec![9; 300],
                 }
                 .to_frame(),
@@ -1801,7 +1667,7 @@ mod tests {
         // A lying length header fails at the header, before any body bytes
         // accumulate.
         let mut bytes = Frame {
-            op: op::GET,
+            op: op::GET2,
             body: Vec::new(),
         }
         .to_bytes();

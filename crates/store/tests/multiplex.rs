@@ -193,7 +193,7 @@ fn truncated_mid_frame_writes_reassemble_across_ticks() {
 /// **out of order**: fire-and-forget put acks arrive interleaved around
 /// the awaited get answer, in scrambled order. The demux absorbs acks by
 /// tag, hands the get its own answer, and `flush` drains the stragglers —
-/// five requests, two wire turnarounds.
+/// five requests, one wire turnaround.
 #[test]
 fn out_of_order_completions_demux_by_tag() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -208,18 +208,11 @@ fn out_of_order_completions_demux_by_tag() {
             assert_eq!(frame.op, op::TAGGED, "pipelined client always tags");
             untag(&frame).expect("envelope")
         };
-        // The client's first contact is a synchronous probe: answer it in
-        // kind so the peer is pinned tagged and puts start pipelining.
-        let (probe_tag, probe) = read_tagged(&mut stream);
-        assert_eq!(probe.op, op::PUT2);
-        tag_response(probe_tag, &Response::Done(Default::default()).to_frame())
-            .write_to(&mut stream)
-            .expect("probe ack");
-        // Then three fire-and-forget puts and one awaited get arrive
-        // without any intervening read on the client side.
+        // Four fire-and-forget puts and one awaited get arrive without
+        // any intervening read on the client side.
         let mut puts = Vec::new();
         let mut get_tag = None;
-        for _ in 0..4 {
+        for _ in 0..5 {
             let (tag, inner) = read_tagged(&mut stream);
             match inner.op {
                 op::PUT2 => puts.push(tag),
@@ -228,14 +221,15 @@ fn out_of_order_completions_demux_by_tag() {
             }
         }
         let get_tag = get_tag.expect("one get");
-        assert_eq!(puts.len(), 3);
-        // Scrambled completion: last put first, then the get's answer,
-        // then the remaining acks in reverse.
+        assert_eq!(puts.len(), 4);
+        // Scrambled completion: the last put and the first put, then the
+        // get's answer, then the remaining acks in reverse.
         for (tag, resp) in [
-            (puts[2], Response::Done(Default::default())),
-            (get_tag, Response::Hit(served_for_script)),
-            (puts[1], Response::Done(Default::default())),
+            (puts[3], Response::Done(Default::default())),
             (puts[0], Response::Done(Default::default())),
+            (get_tag, Response::Hit(served_for_script)),
+            (puts[2], Response::Done(Default::default())),
+            (puts[1], Response::Done(Default::default())),
         ] {
             tag_response(tag, &resp.to_frame())
                 .write_to(&mut stream)
@@ -243,7 +237,7 @@ fn out_of_order_completions_demux_by_tag() {
         }
     });
 
-    let remote = RemoteTier::with_options(&addr, Duration::from_secs(10), true);
+    let remote = RemoteTier::with_timeout(&addr, Duration::from_secs(10));
     let frame = compress::raw_frame(b"x");
     for i in 0..4 {
         remote.put_bytes("mux-ooo", key_of(i), &frame);
@@ -256,12 +250,11 @@ fn out_of_order_completions_demux_by_tag() {
     remote.flush();
     script.join().expect("script thread");
 
-    assert_eq!(remote.peer_tagged(), Some(true));
     assert!(!remote.is_down());
     assert_eq!(
         remote.wire_round_trips(),
-        2,
-        "probe + one shared turnaround for 3 puts, 1 get and the drain"
+        1,
+        "one shared turnaround for 4 puts, 1 get and the drain"
     );
     // The drain left nothing pending: a second flush has nothing to read
     // and must not block or fail.

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rtlt_store::wire::{
     AnnotationReply, EditSplice, Frame, FrameBudget, Request, Response, WireError, FRAME_HEADER,
-    MAX_EDIT_SPLICES,
+    MAX_EDIT_SPLICES, PAYLOAD_ENCODING_FRAME,
 };
 use rtlt_store::{ContentHash, KeyBuilder};
 
@@ -30,17 +30,20 @@ proptest! {
         prop_assert_eq!(back.body, body);
     }
 
-    /// GET/PUT requests round-trip through the typed layer.
+    /// GET2/PUT2/STAT2 requests round-trip through the typed layer.
     #[test]
     fn requests_round_trip(
         tag in 0u64..1000,
         ns in "compile|blast|label|featurize|shard|model",
+        encoding in 0u8..=255,
         payload in proptest::collection::vec(0u8..=255, 0..256),
     ) {
-        let get = Request::Get { ns: ns.clone(), key: key_of(tag) };
+        let get = Request::Get2 { ns: ns.clone(), key: key_of(tag), encoding };
         let back = Request::from_frame(&get.to_frame()).expect("get");
         prop_assert_eq!(&back, &get);
-        let put = Request::Put { ns, key: key_of(tag), payload };
+        let stat = Request::Stat2;
+        prop_assert_eq!(Request::from_frame(&stat.to_frame()).expect("stat"), stat);
+        let put = Request::Put2 { ns, key: key_of(tag), encoding, payload };
         let frame_bytes = put.to_frame().to_bytes();
         let frame = Frame::read_from(&mut frame_bytes.as_slice()).expect("frame");
         let back = Request::from_frame(&frame).expect("put");
@@ -108,8 +111,9 @@ proptest! {
         last_seed in 0u8..2,
     ) {
         let last = last_seed == 1;
-        let req = Request::GetBatch {
+        let req = Request::GetBatch2 {
             items: tags.iter().map(|t| ("featurize".to_owned(), key_of(*t))).collect(),
+            encoding: PAYLOAD_ENCODING_FRAME,
         };
         let bytes = req.to_frame().to_bytes();
         let back = Request::from_frame(
@@ -135,7 +139,7 @@ proptest! {
     /// The cumulative in-flight budget rejects a frame sequence at exactly
     /// the first frame whose body would push the running total past the
     /// budget — each frame individually legal, the sum bounded. This is
-    /// the satellite defense for GETM: per-frame caps alone would let a
+    /// the satellite defense for GETM2: per-frame caps alone would let a
     /// batch of max-size frames balloon one connection.
     #[test]
     fn cumulative_budget_rejects_at_the_first_overflowing_frame(

@@ -1,20 +1,49 @@
 //! Shared-cone evaluation invariants: deduplicated featurization must be
-//! byte-for-byte indistinguishable from the naive per-signal path, for
+//! byte-for-byte indistinguishable from a naive per-signal oracle, for
 //! adversarial cone structures and under `conesta` artifact corruption.
 
 use proptest::prelude::*;
+use rtl_timer_repro::bog::{extract_signal_cone, Bog, BogVariant};
+use rtl_timer_repro::liberty::Library;
 use rtl_timer_repro::rtl_timer::cache::stage;
 use rtl_timer_repro::rtl_timer::dataset::{
-    build_all_variant_data_scratch, FeaturizeScratch, VariantData,
+    build_all_variant_data_scratch, build_cone_shard, merge_shards, shard_seed, FeaturizeScratch,
+    VariantData,
 };
+use rtl_timer_repro::rtl_timer::features::design_features;
 use rtl_timer_repro::store::Store;
+use std::sync::Arc;
 
-fn liberty() -> rtl_timer_repro::liberty::Library {
-    rtl_timer_repro::liberty::Library::pseudo_bog()
+fn liberty() -> Library {
+    Library::pseudo_bog()
 }
 
-fn blasted(src: &str, top: &str) -> rtl_timer_repro::bog::Bog {
+fn blasted(src: &str, top: &str) -> Bog {
     rtl_timer_repro::bog::blast(&rtl_timer_repro::verilog::compile(src, top).expect("compiles"))
+}
+
+/// The naive per-signal oracle: every signal's cone is extracted,
+/// converted and evaluated on its own by the monolithic
+/// [`build_cone_shard`] — no shared evaluation, no store — and the shards
+/// are merged with the variant graph's design features.
+fn per_signal_oracle(sog: &Bog, lib: &Library, clock: f64, design_seed: u64) -> Vec<VariantData> {
+    BogVariant::ALL
+        .iter()
+        .enumerate()
+        .map(|(vi, &variant)| {
+            let shards: Vec<_> = sog
+                .signals()
+                .iter()
+                .enumerate()
+                .map(|(sig, s)| {
+                    let cone = extract_signal_cone(sog, sig).to_variant(variant);
+                    let seed = shard_seed(design_seed, vi, &s.name);
+                    Arc::new(build_cone_shard(&cone, s.width as usize, lib, clock, seed))
+                })
+                .collect();
+            merge_shards(variant, design_features(&sog.to_variant(variant)), &shards)
+        })
+        .collect()
 }
 
 /// f64 slices compared as raw bits: `==` on floats would conflate
@@ -69,12 +98,46 @@ fn twin_source(width: u32, twins: usize, op: &str) -> String {
     )
 }
 
+/// A wide adder with feedback — cones the twin-lane proptest below never
+/// builds — at two clocks: the shared-cone path matches the oracle bit
+/// for bit and fills one shard per signal × variant.
+#[test]
+fn dedup_matches_oracle_on_a_feedback_adder() {
+    let adder = "module m(input clk, input [15:0] a, input [15:0] b, output [15:0] q);
+                   reg [15:0] r;
+                   reg [15:0] s;
+                   always @(posedge clk) begin
+                     r <= a + b;
+                     s <= s + (r ^ a);
+                   end
+                   assign q = s;
+                 endmodule";
+    let lib = liberty();
+    let sog = blasted(adder, "m");
+    for clock in [1.0, 0.37] {
+        let store = Store::in_memory();
+        let dedup = build_all_variant_data_scratch(
+            &store,
+            &sog,
+            &lib,
+            clock,
+            7,
+            &mut FeaturizeScratch::new(),
+        );
+        assert_bit_identical(&dedup, &per_signal_oracle(&sog, &lib, clock, 7));
+        assert_eq!(
+            store.stats().namespace(stage::SHARD).misses as usize,
+            sog.signals().len() * 4
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For arbitrary small designs with shared bit-lane structure and
     /// extreme clocks, the deduplicated path (shared seed-independent
-    /// evaluation + seeded replay) matches the naive per-signal path
+    /// evaluation + seeded replay) matches the naive per-signal oracle
     /// bit for bit, and the shared evaluation really is shared.
     #[test]
     fn dedup_matches_naive_bit_for_bit(
@@ -93,21 +156,15 @@ proptest! {
         let lib = liberty();
 
         let dedup_store = Store::in_memory();
-        let naive_store = Store::in_memory();
         let mut scratch = FeaturizeScratch::new();
         let dedup =
-            build_all_variant_data_scratch(&dedup_store, &sog, &lib, clock, seed, true, &mut scratch);
-        let naive =
-            build_all_variant_data_scratch(&naive_store, &sog, &lib, clock, seed, false, &mut scratch);
-        assert_bit_identical(&dedup, &naive);
+            build_all_variant_data_scratch(&dedup_store, &sog, &lib, clock, seed, &mut scratch);
+        assert_bit_identical(&dedup, &per_signal_oracle(&sog, &lib, clock, seed));
 
-        // Both paths key shards identically (same misses), the naive path
-        // never touches conesta, and the twins collapse onto shared
-        // evaluations (fewer conesta entries than shard entries).
+        // One shard per signal × variant, and the twins collapse onto
+        // shared evaluations (fewer conesta entries than shard entries).
         let d = dedup_store.stats();
-        let n = naive_store.stats();
-        prop_assert_eq!(d.namespace(stage::SHARD).misses, n.namespace(stage::SHARD).misses);
-        prop_assert_eq!(n.namespace(stage::CONESTA).misses, 0);
+        prop_assert_eq!(d.namespace(stage::SHARD).misses as usize, sog.signals().len() * 4);
         let conesta = d.namespace(stage::CONESTA).misses;
         prop_assert!(conesta > 0);
         prop_assert!(
@@ -144,7 +201,7 @@ proptest! {
             let store = Store::on_disk(&dir);
             let mut scratch = FeaturizeScratch::new();
             let out =
-                build_all_variant_data_scratch(&store, &sog, &lib, clock, seed, true, &mut scratch);
+                build_all_variant_data_scratch(&store, &sog, &lib, clock, seed, &mut scratch);
             store.flush();
             out
         };
@@ -168,7 +225,7 @@ proptest! {
             let store = Store::on_disk(&dir);
             let mut scratch = FeaturizeScratch::new();
             let out =
-                build_all_variant_data_scratch(&store, &sog, &lib, clock, seed, true, &mut scratch);
+                build_all_variant_data_scratch(&store, &sog, &lib, clock, seed, &mut scratch);
             store.flush();
             // The corrupt payloads fail their checksum, so every conesta
             // read degrades to a recompute rather than decoding garbage.
@@ -183,7 +240,7 @@ proptest! {
             let store = Store::on_disk(&dir);
             let mut scratch = FeaturizeScratch::new();
             let again =
-                build_all_variant_data_scratch(&store, &sog, &lib, clock, seed, true, &mut scratch);
+                build_all_variant_data_scratch(&store, &sog, &lib, clock, seed, &mut scratch);
             prop_assert_eq!(store.stats().namespace(stage::CONESTA).misses, 0);
             assert_bit_identical(&reference, &again);
         }
