@@ -93,12 +93,10 @@ fn main() {
             &cfg,
             live::DEFAULT_STEP_SHARDS,
         );
-        let listener = std::net::TcpListener::bind(&listen_addr).expect("bind live service");
-        let bound = listener.local_addr().expect("local addr");
+        let server = rtlt_store::server::spawn(&listen_addr, svc).expect("bind live service");
+        let bound = server.addr;
         println!("rtlt-annotated listening on {bound} (design {TOP}, {lanes} lanes)");
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        live::serve_until(listener, svc, &stop);
-        return;
+        return server.join();
     }
     if let Some(addr) = connect {
         live_connect(&bench, &model, base_d, &base, lanes, &addr, selfcheck);

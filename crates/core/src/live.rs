@@ -2,17 +2,16 @@
 //!
 //! The paper's early-optimization loop, served over the wire: a designer's
 //! editor OPENs a design, streams EDITs as line splices, and receives the
-//! re-annotated source from ANNOTATE in one round trip. The service is the
-//! same single-threaded poll-based event loop as `rtlt-stored`
-//! ([`rtlt_store::server`]) — nonblocking accept, [`FrameReassembler`] on
-//! the read side, flush-as-writable byte queue with backpressure on the
-//! write side — with one addition: **deferred replies**. An ANNOTATE does
-//! not compute inline (a cold pass on a large design would starve every
-//! other session's tick); it enqueues a resumable
-//! [`ReannotateJob`](crate::incremental::ReannotateJob) and the loop
-//! advances every pending job by a bounded shard slice per tick,
-//! round-robin. Replies queue in request order per connection, so the
-//! serial client never sees reordering.
+//! re-annotated source from ANNOTATE in one round trip. [`LiveService`] is
+//! a [`Service`] on the workspace's one event loop
+//! ([`rtlt_store::server::serve_until`]), which owns the transport; the
+//! service supplies the session verbs. An ANNOTATE does not compute inline
+//! (a cold pass on a large design would starve every other session); its
+//! reply is deferred behind a resumable
+//! [`ReannotateJob`](crate::incremental::ReannotateJob), and the loop's
+//! [`Service::advance`] step moves every pending job of a connection a
+//! bounded shard slice per tick, round-robin. Replies leave in request
+//! order per connection, so the serial client never sees reordering.
 //!
 //! Every failure mode degrades exactly like the artifact store: a dead
 //! server, a version-skewed peer (which answers `Failed` to the unknown
@@ -25,18 +24,19 @@
 use crate::incremental::{IncrementalAnnotator, ReannotateJob, ReannotateOutcome};
 use crate::pipeline::{DesignData, RtlTimer, TimerConfig};
 use rtlt_store::entry::fnv1a;
-use rtlt_store::wire::{
-    op, tag_response, untag, AnnotationReply, EditSplice, Frame, FrameReassembler, Request,
-    Response, WireError, MAX_CONN_INFLIGHT,
-};
+use rtlt_store::server::{Replies, ServerMetrics, Service};
+use rtlt_store::wire::{AnnotationReply, EditSplice, Frame, Request, Response, WireError};
 use rtlt_store::Store;
 use rtlt_verilog::VerilogError;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{BTreeMap, HashMap};
+use std::io::Write;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Runs a [`LiveService`] (or any other [`Service`]) on the calling
+/// thread until the stop flag is set.
+pub use rtlt_store::server::serve_until;
 
 /// Store-stats namespace the session client charges its wire round trips
 /// to — `print_store_stats`-style tables then show EDIT→ANNOTATE
@@ -49,12 +49,6 @@ pub const SESSION_NS: &str = "session";
 /// per tick) stays invisible.
 pub const DEFAULT_STEP_SHARDS: usize = 64;
 
-/// Per-connection idle timeout, matching the artifact store's loop.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
-/// Sleep when a full tick made no progress anywhere.
-const POLL_INTERVAL: Duration = Duration::from_micros(200);
-/// Read scratch size per tick.
-const READ_CHUNK: usize = 64 << 10;
 /// Client-side connect timeout.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 /// Client-side read timeout — generous: a cold first ANNOTATE legitimately
@@ -141,6 +135,7 @@ pub struct LiveService {
     bases: HashMap<String, (IncrementalAnnotator, String)>,
     step_shards: usize,
     next_session: u64,
+    metrics: ServerMetrics,
 }
 
 impl LiveService {
@@ -169,14 +164,8 @@ impl LiveService {
             bases,
             step_shards: step_shards.max(1),
             next_session: 1,
+            metrics: ServerMetrics::default(),
         }
-    }
-
-    /// Designs this service can OPEN.
-    pub fn designs(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.bases.keys().cloned().collect();
-        names.sort();
-        names
     }
 }
 
@@ -188,397 +177,127 @@ struct LiveSession {
     revision: u64,
 }
 
-/// One queued reply slot. Replies leave in request order; only the
-/// contiguous `Ready` prefix is ever promoted to the socket, so a deferred
-/// ANNOTATE holds back everything queued behind it (the serial client
-/// depends on ordering) without blocking other connections.
-enum ReplySlot {
-    Ready(Vec<u8>),
-    Waiting { job: u64 },
-}
-
-struct PendingReply {
-    tag: Option<u64>,
-    slot: ReplySlot,
-}
-
-/// One nonblocking connection on the live event loop. Sessions and their
-/// pending jobs are connection-scoped: a dropped editor drops its
-/// server-side state with it.
-struct LiveConn {
-    stream: TcpStream,
-    peer: SocketAddr,
-    rx: FrameReassembler,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    out: VecDeque<PendingReply>,
+/// Per-connection state of the live service: the connection's sessions
+/// and their pending re-annotations, keyed by the deferred reply ticket
+/// each one answers. A dropped editor drops its server-side state with it.
+#[derive(Default)]
+pub struct Sessions {
     sessions: HashMap<u64, LiveSession>,
     jobs: BTreeMap<u64, ReannotateJob>,
-    next_job: u64,
-    last_activity: Instant,
-    read_closed: bool,
 }
 
-impl LiveConn {
-    fn new(stream: TcpStream, peer: SocketAddr) -> LiveConn {
-        LiveConn {
-            stream,
-            peer,
-            rx: FrameReassembler::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            out: VecDeque::new(),
-            sessions: HashMap::new(),
-            jobs: BTreeMap::new(),
-            next_job: 1,
-            last_activity: Instant::now(),
-            read_closed: false,
-        }
-    }
+impl Service for LiveService {
+    const NAME: &'static str = "rtlt-annotated";
+    type Conn = Sessions;
 
-    /// Response bytes queued on the socket side but not yet flushed.
-    fn backlog(&self) -> u64 {
-        (self.wbuf.len() - self.wpos) as u64
-    }
-
-    fn push_ready(&mut self, tag: Option<u64>, frame: &Frame) {
-        self.out.push_back(PendingReply {
-            tag,
-            slot: ReplySlot::Ready(frame.to_bytes()),
-        });
-    }
-
-    fn push_failed(&mut self, tag: Option<u64>, msg: String) {
-        self.push_ready(tag, &Response::Failed(msg).to_frame());
-    }
-
-    /// Moves the contiguous ready prefix of the reply queue into the
-    /// write buffer, wrapping tagged replies in their envelopes.
-    fn promote(&mut self) {
-        while let Some(front) = self.out.front() {
-            let ReplySlot::Ready(_) = front.slot else {
-                break;
-            };
-            let reply = self.out.pop_front().expect("checked front");
-            let ReplySlot::Ready(bytes) = reply.slot else {
-                unreachable!()
-            };
-            match reply.tag {
-                Some(t) => {
-                    let inner = Frame::read_from(&mut bytes.as_slice()).expect("own frame");
-                    self.wbuf
-                        .extend_from_slice(&tag_response(t, &inner).to_bytes());
-                }
-                None => self.wbuf.extend_from_slice(&bytes),
-            }
-        }
-    }
-
-    /// Parses and answers one request frame. Never kills the connection:
-    /// malformed-but-framed requests, unknown designs, stale sessions and
-    /// broken edits all answer `Failed` — the client's cue to degrade to
-    /// its local annotator.
-    fn respond(&mut self, svc: &mut LiveService, frame: Frame) {
-        let (tag, inner) = if frame.op == op::TAGGED {
-            match untag(&frame) {
-                Ok((t, f)) => (Some(t), f),
-                Err(e) => {
-                    self.push_failed(None, e.to_string());
-                    return;
-                }
-            }
-        } else {
-            (None, frame)
-        };
-        match Request::from_frame(&inner) {
-            Ok(Request::Open { design, source }) => match svc.bases.get(&design) {
+    /// Answers one session verb: a started ANNOTATE defers its reply,
+    /// everything else answers SESSION or `Failed`. Never kills the
+    /// connection: unknown designs, stale sessions and broken edits all
+    /// answer `Failed` — the client's cue to degrade to its local
+    /// annotator.
+    fn respond(&mut self, conn: &mut Sessions, req: Request, out: &mut Replies<'_>) {
+        let reply = match req {
+            Request::Open { design, source } => match self.bases.get(&design) {
                 Some((proto, base_source)) => {
-                    let id = svc.next_session;
-                    svc.next_session += 1;
+                    let id = self.next_session;
+                    self.next_session += 1;
                     let source = if source.is_empty() {
                         base_source.clone()
                     } else {
                         source
                     };
                     let check = source_check(&source);
-                    self.sessions.insert(
+                    let annotator = proto.clone();
+                    let revision = 0;
+                    conn.sessions.insert(
                         id,
                         LiveSession {
-                            annotator: proto.clone(),
+                            annotator,
                             source,
-                            revision: 0,
+                            revision,
                         },
                     );
-                    self.push_ready(
-                        tag,
-                        &Response::Session {
-                            session: id,
-                            revision: 0,
-                            check,
-                        }
-                        .to_frame(),
-                    );
+                    Ok((id, revision, check))
                 }
-                None => self.push_failed(tag, format!("unknown design {design}")),
+                None => Err(format!("unknown design {design}")),
             },
-            Ok(Request::Edit {
+            Request::Edit {
                 session,
                 splices,
                 check,
-            }) => {
-                let applied = match self.sessions.get_mut(&session) {
-                    Some(s) => match apply_splices(&s.source, &splices) {
-                        Some(next) if source_check(&next) == check => {
-                            s.source = next;
-                            s.revision += 1;
-                            Ok(s.revision)
-                        }
-                        Some(_) => Err("edit check mismatch".to_owned()),
-                        None => Err("edit splices out of bounds".to_owned()),
-                    },
-                    None => Err(format!("no session {session}")),
-                };
-                match applied {
-                    Ok(revision) => self.push_ready(
-                        tag,
-                        &Response::Session {
-                            session,
-                            revision,
-                            check,
-                        }
-                        .to_frame(),
-                    ),
-                    Err(msg) => self.push_failed(tag, msg),
-                }
-            }
-            Ok(Request::Annotate { session }) => {
-                let begun = match self.sessions.get_mut(&session) {
-                    Some(s) => s
-                        .annotator
-                        .begin(&s.source, &svc.store)
-                        .map_err(|e| format!("edit error: {}", e.message)),
-                    None => Err(format!("no session {session}")),
-                };
-                match begun {
+            } => match conn.sessions.get_mut(&session) {
+                Some(s) => match apply_splices(&s.source, &splices) {
+                    Some(next) if source_check(&next) == check => {
+                        s.source = next;
+                        s.revision += 1;
+                        Ok((session, s.revision, check))
+                    }
+                    Some(_) => Err("edit check mismatch".to_owned()),
+                    None => Err("edit splices out of bounds".to_owned()),
+                },
+                None => Err(format!("no session {session}")),
+            },
+            Request::Annotate { session } => match conn.sessions.get_mut(&session) {
+                Some(s) => match s.annotator.begin(&s.source, &self.store) {
                     Ok(job) => {
-                        let id = self.next_job;
-                        self.next_job += 1;
-                        self.jobs.insert(id, job);
-                        self.out.push_back(PendingReply {
-                            tag,
-                            slot: ReplySlot::Waiting { job: id },
-                        });
+                        conn.jobs.insert(out.defer(), job);
+                        return;
                     }
-                    Err(msg) => self.push_failed(tag, msg),
-                }
-            }
-            Ok(Request::Close { session }) => match self.sessions.remove(&session) {
-                Some(s) => self.push_ready(
-                    tag,
-                    &Response::Session {
-                        session,
-                        revision: s.revision,
-                        check: source_check(&s.source),
-                    }
-                    .to_frame(),
-                ),
-                None => self.push_failed(tag, format!("no session {session}")),
+                    Err(e) => Err(format!("edit error: {}", e.message)),
+                },
+                None => Err(format!("no session {session}")),
+            },
+            Request::Close { session } => match conn.sessions.remove(&session) {
+                Some(s) => Ok((session, s.revision, source_check(&s.source))),
+                None => Err(format!("no session {session}")),
             },
             // A store request reaching the annotation service: refuse it
             // the way a store refuses session verbs — the remote tier
             // treats `Failed` as a miss and recomputes.
-            Ok(_) => self.push_failed(tag, "rtlt-annotated serves sessions, not artifacts".into()),
-            Err(e) => self.push_failed(tag, e.to_string()),
-        }
+            _ => Err("rtlt-annotated serves sessions, not artifacts".to_owned()),
+        };
+        out.push(match reply {
+            Ok((session, revision, check)) => Response::Session {
+                session,
+                revision,
+                check,
+            },
+            Err(msg) => Response::Failed(msg),
+        });
     }
 
-    /// Advances every pending job by one bounded slice, finishing (and
-    /// readying the reply of) each job that completes. Returns whether
-    /// any job made progress.
-    fn advance_jobs(&mut self, svc: &LiveService) -> bool {
-        if self.jobs.is_empty() {
+    /// Advances every pending job of the connection by one bounded slice,
+    /// fulfilling the deferred reply of each job that completes.
+    fn advance(&mut self, conn: &mut Sessions, out: &mut Replies<'_>) -> bool {
+        if conn.jobs.is_empty() {
             return false;
         }
-        let mut finished = Vec::new();
-        for (&id, job) in self.jobs.iter_mut() {
-            if job.step(&svc.store, svc.step_shards) {
-                finished.push(id);
-            }
-        }
-        for id in finished {
-            let job = self.jobs.remove(&id).expect("finished job");
-            let out = job.finish(&svc.model, &svc.store);
-            let reply = Response::Annotation(AnnotationReply {
-                annotated: out.annotated,
-                dirty_modules: out.dirty_modules,
-                dirty_cone_bound: out.dirty_cone_bound.len() as u64,
-                dirty_shards: out.dirty_shards,
-                reused_shards: out.reused_shards,
-                total_shards: out.total_shards,
-            })
-            .to_frame();
-            for slot in self.out.iter_mut() {
-                if matches!(slot.slot, ReplySlot::Waiting { job } if job == id) {
-                    slot.slot = ReplySlot::Ready(reply.to_bytes());
-                    break;
-                }
-            }
+        let finished: Vec<u64> = conn
+            .jobs
+            .iter_mut()
+            .filter_map(|(&ticket, job)| job.step(&self.store, self.step_shards).then_some(ticket))
+            .collect();
+        for ticket in finished {
+            let job = conn.jobs.remove(&ticket).expect("finished job");
+            let done = job.finish(&self.model, &self.store);
+            out.fulfil(
+                ticket,
+                Response::Annotation(AnnotationReply {
+                    annotated: done.annotated,
+                    dirty_modules: done.dirty_modules,
+                    dirty_cone_bound: done.dirty_cone_bound.len() as u64,
+                    dirty_shards: done.dirty_shards,
+                    reused_shards: done.reused_shards,
+                    total_shards: done.total_shards,
+                }),
+            );
         }
         true
     }
 
-    /// Flushes queued bytes until the socket would block. Returns
-    /// `(alive, progressed)`.
-    fn flush(&mut self) -> (bool, bool) {
-        let mut progressed = false;
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return (false, progressed),
-                Ok(n) => {
-                    self.wpos += n;
-                    progressed = true;
-                    self.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return (false, progressed),
-            }
-        }
-        if self.wpos == self.wbuf.len() && self.wpos > 0 {
-            self.wbuf.clear();
-            self.wpos = 0;
-        }
-        (true, progressed)
+    fn metrics(&self) -> &ServerMetrics {
+        &self.metrics
     }
-
-    /// One scheduler tick: flush, read, parse/dispatch, advance jobs,
-    /// promote ready replies. Returns `(alive, progressed)`.
-    fn tick(&mut self, svc: &mut LiveService, scratch: &mut [u8]) -> (bool, bool) {
-        let (alive, mut progressed) = self.flush();
-        if !alive {
-            return (false, progressed);
-        }
-        if !self.read_closed && self.backlog() <= MAX_CONN_INFLIGHT {
-            loop {
-                match self.stream.read(scratch) {
-                    Ok(0) => {
-                        self.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.rx.ingest(&scratch[..n]);
-                        self.last_activity = Instant::now();
-                        progressed = true;
-                        if self.backlog() + self.rx.buffered() as u64 > MAX_CONN_INFLIGHT {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => return (false, progressed),
-                }
-            }
-        }
-        loop {
-            match self.rx.next_frame() {
-                Ok(Some(frame)) => {
-                    progressed = true;
-                    self.respond(svc, frame);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    eprintln!("[rtlt-annotated] connection {}: {e}", self.peer);
-                    return (false, progressed);
-                }
-            }
-        }
-        progressed |= self.advance_jobs(svc);
-        self.promote();
-        if self.read_closed && self.backlog() == 0 && self.out.is_empty() && self.jobs.is_empty() {
-            return (false, progressed);
-        }
-        if self.last_activity.elapsed() > IDLE_TIMEOUT {
-            return (false, progressed);
-        }
-        (true, progressed)
-    }
-}
-
-/// Runs the live annotation event loop on the calling thread until `stop`
-/// is set (checked once per tick). Mirrors the artifact store's loop; the
-/// one addition is the per-tick round-robin advance of pending
-/// re-annotation jobs, which is what lets many concurrent sessions share
-/// the single thread fairly.
-///
-/// # Panics
-///
-/// If the listener cannot be switched to nonblocking mode.
-pub fn serve_until(listener: TcpListener, mut svc: LiveService, stop: &AtomicBool) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    let mut conns: Vec<LiveConn> = Vec::new();
-    let mut scratch = vec![0u8; READ_CHUNK];
-    while !stop.load(Ordering::Relaxed) {
-        let mut progressed = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    conns.push(LiveConn::new(stream, peer));
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    eprintln!("[rtlt-annotated] accept failed: {e}");
-                    break;
-                }
-            }
-        }
-        conns.retain_mut(|conn| {
-            let (alive, p) = conn.tick(&mut svc, &mut scratch);
-            progressed |= p;
-            alive
-        });
-        if !progressed {
-            std::thread::sleep(POLL_INTERVAL);
-        }
-    }
-}
-
-/// Handle to a [`spawn`]ed live service: the bound address plus a stop
-/// flag that shuts the loop down within a tick (tests use this to
-/// simulate a killed server).
-pub struct LiveHandle {
-    /// The bound listen address (useful with port 0).
-    pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-}
-
-impl LiveHandle {
-    /// Stops the event loop; open connections drop, clients degrade to
-    /// local annotation.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Binds `addr` and serves the live annotation service on a background
-/// thread.
-///
-/// # Errors
-///
-/// Propagates the bind failure.
-pub fn spawn(addr: &str, svc: LiveService) -> std::io::Result<LiveHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    std::thread::spawn(move || serve_until(listener, svc, &flag));
-    Ok(LiveHandle { addr: bound, stop })
 }
 
 /// Reconnecting session client, [`rtlt_store::RemoteTier`]-style: serial

@@ -98,7 +98,7 @@ fn two_concurrent_sessions_interleave_byte_identically() {
         &fx.cfg,
         1,
     );
-    let handle = rtl_timer::live::spawn("127.0.0.1:0", svc).expect("bind");
+    let handle = rtlt_store::server::spawn("127.0.0.1:0", svc).expect("bind");
     let addr = handle.addr.to_string();
 
     let run_session = |base: &rtl_timer::DesignData, base_src: &str, edits: Vec<String>| {
@@ -171,7 +171,7 @@ fn killed_server_mid_session_degrades_to_identical_local_bytes() {
         &fx.cfg,
         rtl_timer::live::DEFAULT_STEP_SHARDS,
     );
-    let handle = rtl_timer::live::spawn("127.0.0.1:0", svc).expect("bind");
+    let handle = rtlt_store::server::spawn("127.0.0.1:0", svc).expect("bind");
     let addr = handle.addr.to_string();
 
     let client_store = Store::in_memory();
@@ -220,13 +220,14 @@ fn version_skewed_store_peer_refuses_sessions_and_client_degrades() {
         std::env::temp_dir().join(format!("rtlt-live-skew-{}-{}", std::process::id(), line!()));
     let server_addr = rtlt_store::server::spawn(
         "127.0.0.1:0",
-        &rtlt_store::server::ServerConfig {
+        rtlt_store::server::ArtifactServer::new(&rtlt_store::server::ServerConfig {
             dir: scratch.clone(),
             mem_budget: 16 << 20,
             lease_timeout: std::time::Duration::from_secs(30),
-        },
+        }),
     )
-    .expect("spawn store");
+    .expect("spawn store")
+    .addr;
 
     let client_store = Store::in_memory();
     let mut live = LiveAnnotator::with_remote(&fx.alpha.0, &fx.cfg, &server_addr.to_string());
@@ -241,4 +242,67 @@ fn version_skewed_store_peer_refuses_sessions_and_client_degrades() {
     let twin_out = twin.reannotate(&edit, &fx.model, &twin_store).unwrap();
     assert_eq!(out.annotated, twin_out.annotated);
     let _ = std::fs::remove_dir_all(scratch);
+}
+
+#[test]
+fn live_peer_refuses_store_requests_and_remote_tier_recomputes() {
+    use rtlt_store::wire::{tag_request, untag, Frame, Request, Response, PAYLOAD_ENCODING_FRAME};
+    use rtlt_store::{compress, KeyBuilder, RemoteTier, StoreTier, TierLookup};
+
+    // The other direction of the skew above: an artifact-store client
+    // pointed at the live annotation service.
+    let fx = fixture();
+    let step = rtl_timer::live::DEFAULT_STEP_SHARDS;
+    let svc = LiveService::new(fx.model, fx.service_store, &[&fx.alpha.0], &fx.cfg, step);
+    let handle = rtlt_store::server::spawn("127.0.0.1:0", svc).expect("bind");
+    let (ns, key) = ("featurize", KeyBuilder::new("live-refusal").finish());
+    let encoding = PAYLOAD_ENCODING_FRAME;
+
+    // On the wire: tagged GET2 and GETM2 are answered with a tagged
+    // `Failed`, on a connection that stays up.
+    let mut conn = std::net::TcpStream::connect(handle.addr).expect("connect");
+    let timeout = Some(std::time::Duration::from_secs(10));
+    conn.set_read_timeout(timeout).expect("read timeout");
+    let get = Request::Get2 {
+        ns: ns.into(),
+        key,
+        encoding,
+    };
+    let items = vec![(ns.to_owned(), key)];
+    for (tag, req) in [(3, get), (4, Request::GetBatch2 { items, encoding })] {
+        tag_request(tag, &req.to_frame())
+            .write_to(&mut conn)
+            .expect("write");
+        let reply = untag(&Frame::read_from(&mut conn).expect("answered")).expect("tagged");
+        assert_eq!(reply.0, tag);
+        assert!(matches!(
+            Response::from_frame(&reply.1),
+            Ok(Response::Failed(_))
+        ));
+    }
+
+    // Through the remote tier: GET2 and GETM2 read as misses and PUT2 is
+    // dropped, without tripping the breaker.
+    let remote = Arc::new(RemoteTier::new(handle.addr.to_string()));
+    remote.put_bytes(ns, key, &compress::raw_frame(b"never stored"));
+    remote.flush();
+    assert_eq!(remote.get_bytes(ns, key), TierLookup::Miss);
+    assert_eq!(
+        remote.get_bytes_batch(&[(ns.into(), key)]),
+        vec![TierLookup::Miss]
+    );
+
+    // A prepare through a store backed by that tier recomputes every
+    // artifact, byte-identically to a cold in-memory store.
+    let mut store = Store::in_memory();
+    store.push_tier(remote.clone());
+    let sources = [fx.alpha, fx.beta].map(|(d, src)| (d.name.to_string(), src));
+    let served = DesignSet::prepare_named_with(&sources, &fx.cfg, &store).expect("prepare");
+    let cold = DesignSet::prepare_named_with(&sources, &fx.cfg, &Store::in_memory()).unwrap();
+    assert_eq!(served.content_digest(), cold.content_digest());
+    let stats = store.stats();
+    assert_eq!(stats.tier_hits().remote, 0, "every lookup was a miss");
+    assert!(stats.remote_round_trips > 0, "the prepare reached the peer");
+    assert!(!remote.is_down(), "refusals are answers, not failures");
+    handle.stop();
 }

@@ -76,7 +76,10 @@ fn start_server(scratch: &ScratchDir, lease_timeout: Duration) -> String {
         mem_budget: 1 << 20,
         lease_timeout,
     };
-    spawn("127.0.0.1:0", &cfg).expect("bind").to_string()
+    spawn("127.0.0.1:0", ArtifactServer::new(&cfg))
+        .expect("bind")
+        .addr
+        .to_string()
 }
 
 fn dead_addr() -> String {

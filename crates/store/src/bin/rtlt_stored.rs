@@ -22,8 +22,6 @@
 use rtlt_store::plan::DEFAULT_LEASE_TIMEOUT;
 use rtlt_store::server::{self, ArtifactServer, ServerConfig, DEFAULT_ADDR};
 use rtlt_store::wire::Request;
-use std::net::TcpListener;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -76,7 +74,7 @@ fn main() {
         mem_budget,
         lease_timeout,
     };
-    let server = Arc::new(ArtifactServer::new(&cfg));
+    let server = ArtifactServer::new(&cfg);
     if let Some(budget) = gc_budget {
         if let rtlt_store::wire::Response::Done(r) = server.handle(Request::Gc {
             budget_bytes: budget,
@@ -90,18 +88,17 @@ fn main() {
         }
     }
 
-    let listener = TcpListener::bind(&addr).unwrap_or_else(|e| {
+    let handle = server::spawn(&addr, server).unwrap_or_else(|e| {
         eprintln!("[rtlt-stored] cannot bind {addr}: {e}");
         std::process::exit(1);
     });
-    let bound = listener.local_addr().expect("bound address");
     eprintln!(
         "[rtlt-stored] serving {} (wire v{}, multiplexed event loop; dir {}, mem budget {} KiB, lease timeout {:.1}s)",
-        bound,
+        handle.addr,
         rtlt_store::wire::WIRE_VERSION,
         cfg.dir.display(),
         cfg.mem_budget / 1024,
         cfg.lease_timeout.as_secs_f64()
     );
-    server::serve(listener, server)
+    handle.join();
 }

@@ -1,24 +1,29 @@
-//! The `rtlt-stored` artifact service: a shared warm cache for fleets.
+//! The `rtlt-stored` artifact service and the event loop every service
+//! of the workspace runs on.
 //!
-//! The server is nothing but a [`StoreTier`] stack behind the [`wire`]
-//! protocol — a byte-LRU [`MemTier`] fronting a checksummed [`DiskTier`],
-//! the exact impls the local `Store` composes. GETs walk the stack (disk
-//! hits promote into memory), PUTs land in every tier, STAT2 snapshots
-//! tier sizes and live load, GC evicts down to a budget.
+//! The artifact server is nothing but a [`StoreTier`] stack behind the
+//! [`wire`](crate::wire) protocol — a byte-LRU [`MemTier`] fronting a
+//! checksummed [`DiskTier`], the exact impls the local `Store` composes.
+//! GETs walk the stack (disk hits promote into memory), PUTs land in every
+//! tier, STAT2 snapshots tier sizes and live load, GC evicts down to a
+//! budget.
 //!
-//! Transport is a std-only, hand-rolled **nonblocking event loop**
-//! ([`serve`]): one thread owns the listener and every connection, all in
-//! nonblocking mode, and each scheduler tick accepts pending peers, then
-//! drives every connection's write buffer, read buffer and incremental
+//! Transport is one std-only, hand-rolled **nonblocking event loop**
+//! ([`serve_until`]) that both services run on: [`ArtifactServer`] and the
+//! live annotation service in `rtl_timer::live`. One thread owns the
+//! listener and every connection; each tick accepts pending peers, then
+//! drives every connection's write buffer, read buffer and
 //! [`FrameReassembler`] until the socket reports `WouldBlock`. A
-//! connection whose response backlog exceeds [`MAX_CONN_INFLIGHT`] stops
-//! being read until the peer drains it (backpressure), and a connection
-//! silent past [`IDLE_TIMEOUT`] is reaped. Because requests are consumed
-//! as fast as they arrive — not one lockstep exchange at a time — a
-//! client can keep a window of [`op::TAGGED`] envelopes in flight on one
-//! connection; responses carry the request's tag, batch streams included.
-//! Untagged frames are still answered in order, one response per request
-//! (the live session client speaks bare frames).
+//! [`Service`] supplies only request → reply logic: it pushes ready
+//! replies, or defers one and fulfils it from its [`Service::advance`]
+//! step. Replies leave in request order per connection, and a deferred one
+//! holds back only its own connection. A connection whose unflushed
+//! replies — queued ones included — exceed [`MAX_CONN_INFLIGHT`] is not
+//! read until the peer drains them (backpressure), and one silent past
+//! [`IDLE_TIMEOUT`] is reaped. A client can keep a window of
+//! [`op::TAGGED`] envelopes in flight on one connection; responses carry
+//! the request's tag, batch streams included. Untagged frames are answered
+//! in order, one response per request.
 //!
 //! Payload *content* is never inspected: the server moves opaque bytes
 //! whose integrity the entry checksums and content keys already pin down,
@@ -45,8 +50,9 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Default listen address.
@@ -73,8 +79,8 @@ pub struct ServerConfig {
 /// Transport-independent — [`ArtifactServer::handle`] maps one
 /// single-response request to its response and
 /// [`ArtifactServer::handle_batch`] maps a GETM2 to its chunk stream, so
-/// tests can drive both without sockets and [`serve`] wires them to a
-/// [`TcpListener`].
+/// tests can drive both without sockets; its [`Service`] impl puts them
+/// on the event loop.
 #[derive(Debug)]
 pub struct ArtifactServer {
     tiers: Vec<Arc<dyn StoreTier>>,
@@ -82,10 +88,11 @@ pub struct ArtifactServer {
     metrics: ServerMetrics,
 }
 
-/// Live gauges of the event loop, surfaced through [`Request::Stat2`]:
-/// open connections and exchanges accepted but not yet fully flushed back
-/// to their peers. Zero outside [`serve`] (e.g. when tests drive
-/// [`ArtifactServer::handle`] directly).
+/// Live gauges a service's event loop keeps current — open connections and
+/// exchanges accepted but not yet fully flushed back to their peers; the
+/// artifact server surfaces them through [`Request::Stat2`]. Zero outside
+/// [`serve_until`] (e.g. when tests drive [`ArtifactServer::handle`]
+/// directly).
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     connections: AtomicU64,
@@ -132,11 +139,6 @@ impl ArtifactServer {
     /// The fleet work queue.
     pub fn planner(&self) -> &Planner {
         &self.planner
-    }
-
-    /// The event loop's live gauges.
-    pub fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
     }
 
     /// One tier-stack lookup with promotion into earlier (faster) tiers,
@@ -323,176 +325,278 @@ impl ArtifactServer {
     }
 }
 
+impl Service for ArtifactServer {
+    const NAME: &'static str = "rtlt-stored";
+    type Conn = ();
+
+    fn respond(&mut self, _conn: &mut (), req: Request, out: &mut Replies<'_>) {
+        match req {
+            // Batch answers stream in bounded chunks; under a tagged
+            // envelope every chunk carries the request's tag, so the
+            // stream can interleave with other in-flight exchanges.
+            Request::GetBatch2 { items, encoding } if encoding == PAYLOAD_ENCODING_FRAME => {
+                let _ = self.stream_batch(&items, MAX_BATCH_CHUNK, |part| {
+                    out.push(part);
+                    Ok::<(), std::convert::Infallible>(())
+                });
+            }
+            // Unknown encoding: a well-formed all-miss stream — the
+            // client recomputes everything.
+            Request::GetBatch2 { .. } => out.push(Response::BatchPart {
+                items: Vec::new(),
+                last: true,
+            }),
+            req => out.push(self.handle(req)),
+        }
+    }
+
+    fn metrics(&self) -> &ServerMetrics {
+        &self.metrics
+    }
+}
+
 /// Per-connection idle timeout: a client that disappears without closing
 /// (sleep, network drop) releases its connection state and socket after
 /// this long instead of leaking them for the service's lifetime.
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// How long the event loop sleeps when a full tick made no progress —
-/// nothing accepted, read, written or parsed. Short enough that a lone
-/// serialized client pays sub-millisecond turnaround; long enough that an
-/// idle server burns no meaningful CPU.
+/// nothing accepted, read, written, parsed or advanced. Short enough that
+/// a lone serialized client pays sub-millisecond turnaround; long enough
+/// that an idle server burns no meaningful CPU.
 const POLL_INTERVAL: Duration = Duration::from_micros(200);
 
 /// Read scratch size per tick; bigger reads just take more ticks.
 const READ_CHUNK: usize = 64 << 10;
 
-/// One nonblocking connection on the event loop: an incremental frame
-/// reassembler on the read side, a flush-as-writable byte queue on the
-/// write side, and the bookkeeping that maps queued response bytes back
-/// to in-flight exchange counts.
+/// The request → reply logic of one service on the event loop
+/// ([`serve_until`]). The loop owns the transport: accept, framing,
+/// [`op::TAGGED`] envelopes, per-connection reply order, backpressure,
+/// flushing and idle reaping. A service only decides what to answer.
+pub trait Service {
+    /// Prefix of the loop's log lines.
+    const NAME: &'static str;
+
+    /// Per-connection state, created on accept and dropped with the
+    /// connection.
+    type Conn: Default;
+
+    /// Answers one decoded request: push one or more ready replies, or
+    /// [`Replies::defer`] a single slot that a later
+    /// [`Service::advance`] fulfils. Requests that fail to decode never
+    /// get here; the loop answers them [`Response::Failed`].
+    fn respond(&mut self, conn: &mut Self::Conn, req: Request, out: &mut Replies<'_>);
+
+    /// Steps the connection's deferred work by a bounded slice, calling
+    /// [`Replies::fulfil`] for each slot whose work completed. Runs once
+    /// per connection per tick; returns whether anything progressed.
+    fn advance(&mut self, _conn: &mut Self::Conn, _out: &mut Replies<'_>) -> bool {
+        false
+    }
+
+    /// The gauges the loop keeps current.
+    fn metrics(&self) -> &ServerMetrics;
+}
+
+/// One exchange in a connection's reply queue: its reply bytes, or a
+/// deferred reply awaiting [`Replies::fulfil`].
 #[derive(Debug)]
-struct Conn {
-    stream: TcpStream,
-    peer: SocketAddr,
-    rx: FrameReassembler,
+enum Slot {
+    Ready(Vec<u8>),
+    Deferred { ticket: u64, tag: Option<u64> },
+}
+
+/// A connection's write side: `wbuf` flushes as the socket takes bytes,
+/// and `queue` holds, in request order, the exchanges not yet moved into
+/// it — an unfulfilled deferred reply and every reply behind it.
+#[derive(Debug, Default)]
+struct Outbox {
     wbuf: Vec<u8>,
     wpos: usize,
     /// Total bytes flushed to the socket over the connection's lifetime.
     flushed: u64,
-    /// Per accepted exchange: the absolute `flushed` offset at which its
-    /// response bytes end. Popped (and the in-flight gauge decremented)
-    /// as the write side advances past it.
+    /// Per exchange in `wbuf`: the absolute `flushed` offset at which its
+    /// bytes end. Popped (and the in-flight gauge decremented) as the
+    /// write side advances past it.
     pending: VecDeque<u64>,
-    last_activity: Instant,
-    /// The peer half-closed its read side; finish flushing, then drop.
-    read_closed: bool,
+    queue: VecDeque<Slot>,
+    /// Ready bytes held in `queue`.
+    queued_bytes: u64,
+    next_ticket: u64,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, peer: SocketAddr) -> Conn {
-        Conn {
-            stream,
-            peer,
-            rx: FrameReassembler::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            flushed: 0,
-            pending: VecDeque::new(),
-            last_activity: Instant::now(),
-            read_closed: false,
+impl Outbox {
+    /// Reply bytes not yet flushed, queued ones included: the figure the
+    /// read side's [`MAX_CONN_INFLIGHT`] gate compares.
+    fn backlog(&self) -> u64 {
+        (self.wbuf.len() - self.wpos) as u64 + self.queued_bytes
+    }
+
+    /// Exchanges accepted but not yet fully flushed.
+    fn unsettled(&self) -> u64 {
+        (self.pending.len() + self.queue.len()) as u64
+    }
+
+    /// Answers one request through `f`, then releases what is ready.
+    fn exchange(&mut self, tag: Option<u64>, f: impl FnOnce(&mut Replies<'_>)) {
+        self.queue.push_back(Slot::Ready(Vec::new()));
+        f(&mut Replies { out: self, tag });
+        self.promote();
+    }
+
+    /// Moves the ready prefix of the queue into `wbuf`, reusing a fully
+    /// flushed one.
+    fn promote(&mut self) {
+        while let Some(Slot::Ready(bytes)) = self.queue.front_mut() {
+            let bytes = std::mem::take(bytes);
+            self.queue.pop_front();
+            self.queued_bytes -= bytes.len() as u64;
+            if self.wpos == self.wbuf.len() {
+                (self.wbuf, self.wpos) = (bytes, 0);
+            } else {
+                self.wbuf.extend_from_slice(&bytes);
+            }
+            let end = self.flushed + (self.wbuf.len() - self.wpos) as u64;
+            self.pending.push_back(end);
+        }
+    }
+}
+
+/// Where a service puts the replies of one connection (see [`Service`]).
+/// Replies to a tagged request are tagged with its tag; the service never
+/// sees envelopes. [`Service::respond`] pushes or defers the reply of the
+/// request at hand; [`Service::advance`] only fulfils.
+#[derive(Debug)]
+pub struct Replies<'a> {
+    out: &'a mut Outbox,
+    tag: Option<u64>,
+}
+
+impl Replies<'_> {
+    fn encode(tag: Option<u64>, resp: &Response) -> Vec<u8> {
+        let frame = resp.to_frame();
+        match tag {
+            Some(t) => tag_response(t, &frame).to_bytes(),
+            None => frame.to_bytes(),
         }
     }
 
-    /// Response bytes queued but not yet flushed.
-    fn backlog(&self) -> u64 {
-        (self.wbuf.len() - self.wpos) as u64
+    /// Queues one reply frame of the current request.
+    pub fn push(&mut self, resp: Response) {
+        if let Some(Slot::Ready(slot)) = self.out.queue.back_mut() {
+            let bytes = Self::encode(self.tag, &resp);
+            self.out.queued_bytes += bytes.len() as u64;
+            slot.extend_from_slice(&bytes);
+        }
     }
 
-    /// Queues one response frame, wrapping it in a tagged envelope when
-    /// the request arrived in one.
-    fn queue(&mut self, tag: Option<u64>, frame: &Frame) {
-        let bytes = match tag {
-            Some(t) => tag_response(t, frame).to_bytes(),
-            None => frame.to_bytes(),
+    /// Defers the current request's single reply until [`Replies::fulfil`]
+    /// is called with the returned ticket; replies to later requests on
+    /// the connection wait behind it.
+    pub fn defer(&mut self) -> u64 {
+        let ticket = self.out.next_ticket;
+        self.out.next_ticket += 1;
+        let slot = self.out.queue.back_mut().expect("an open exchange");
+        debug_assert!(matches!(slot, Slot::Ready(b) if b.is_empty()));
+        *slot = Slot::Deferred {
+            ticket,
+            tag: self.tag,
         };
-        self.wbuf.extend_from_slice(&bytes);
+        ticket
     }
 
-    /// Parses and answers one request frame (tagged or bare), queuing the
-    /// response bytes. Never fails: malformed-but-framed requests are
-    /// answered as [`Response::Failed`] on the still-alive connection,
-    /// exactly as the blocking loop did.
-    fn respond(&mut self, server: &ArtifactServer, frame: Frame) {
-        server.metrics.inflight.fetch_add(1, Ordering::Relaxed);
-        let (tag, inner) = if frame.op == op::TAGGED {
-            match untag(&frame) {
-                Ok((t, f)) => (Some(t), f),
-                Err(e) => {
-                    // The envelope itself is malformed: no tag to echo, so
-                    // answer bare — the client treats an untagged
-                    // response as a protocol error.
-                    self.queue(None, &Response::Failed(e.to_string()).to_frame());
-                    self.settle();
+    /// Readies the deferred reply `ticket` with `resp`.
+    pub fn fulfil(&mut self, ticket: u64, resp: Response) {
+        for slot in &mut self.out.queue {
+            if let Slot::Deferred { ticket: t, tag } = *slot {
+                if t == ticket {
+                    let bytes = Self::encode(tag, &resp);
+                    self.out.queued_bytes += bytes.len() as u64;
+                    *slot = Slot::Ready(bytes);
                     return;
                 }
             }
-        } else {
-            (None, frame)
-        };
-        match Request::from_frame(&inner) {
-            // Batch answers stream in bounded chunks; under a tagged
-            // envelope every chunk carries the request's tag, so the
-            // stream can interleave with other in-flight exchanges.
-            Ok(Request::GetBatch2 { items, encoding }) => {
-                if encoding == PAYLOAD_ENCODING_FRAME {
-                    let _ = server.stream_batch(&items, MAX_BATCH_CHUNK, |part| {
-                        self.queue(tag, &part.to_frame());
-                        Ok::<(), std::convert::Infallible>(())
-                    });
-                } else {
-                    // Unknown encoding: a well-formed all-miss stream —
-                    // the client recomputes everything.
-                    self.queue(
-                        tag,
-                        &Response::BatchPart {
-                            items: Vec::new(),
-                            last: true,
-                        }
-                        .to_frame(),
-                    );
-                }
-            }
-            Ok(req) => {
-                let resp = server.handle(req).to_frame();
-                self.queue(tag, &resp);
-            }
-            Err(e) => self.queue(tag, &Response::Failed(e.to_string()).to_frame()),
         }
-        self.settle();
     }
+}
 
-    /// Records where the just-queued exchange's response bytes end.
-    fn settle(&mut self) {
-        self.pending.push_back(self.flushed + self.backlog());
+/// One nonblocking connection on the event loop: an incremental frame
+/// reassembler on the read side, the reply queue on the write side, and
+/// the service's per-connection state.
+#[derive(Debug)]
+struct Conn<C> {
+    stream: TcpStream,
+    peer: SocketAddr,
+    rx: FrameReassembler,
+    out: Outbox,
+    state: C,
+    last_activity: Instant,
+    /// The peer half-closed its read side; finish answering, then drop.
+    read_closed: bool,
+}
+
+impl<C> Conn<C> {
+    /// Unwraps one request frame (tagged or bare) and hands it to the
+    /// service. Never fails: malformed-but-framed requests are answered
+    /// [`Response::Failed`] on the still-alive connection.
+    fn respond<S: Service<Conn = C>>(&mut self, svc: &mut S, frame: Frame) {
+        svc.metrics().inflight.fetch_add(1, Ordering::Relaxed);
+        let (tag, req) = if frame.op == op::TAGGED {
+            match untag(&frame) {
+                Ok((t, inner)) => (Some(t), Request::from_frame(&inner)),
+                // The envelope itself is malformed: no tag to echo, so
+                // answer bare — the client treats an untagged response
+                // as a protocol error.
+                Err(e) => (None, Err(e)),
+            }
+        } else {
+            (None, Request::from_frame(&frame))
+        };
+        let state = &mut self.state;
+        self.out.exchange(tag, |out| match req {
+            Ok(req) => svc.respond(state, req, out),
+            Err(e) => out.push(Response::Failed(e.to_string())),
+        });
     }
 
     /// Flushes queued bytes until the socket would block. Returns
     /// `(alive, progressed)`.
-    fn flush(&mut self, server: &ArtifactServer) -> (bool, bool) {
+    fn flush(&mut self, metrics: &ServerMetrics) -> (bool, bool) {
+        let out = &mut self.out;
         let mut progressed = false;
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
+        while out.wpos < out.wbuf.len() {
+            match self.stream.write(&out.wbuf[out.wpos..]) {
                 Ok(0) => return (false, progressed),
                 Ok(n) => {
-                    self.wpos += n;
-                    self.flushed += n as u64;
+                    out.wpos += n;
+                    out.flushed += n as u64;
                     progressed = true;
                     self.last_activity = Instant::now();
-                    while self.pending.front().is_some_and(|end| *end <= self.flushed) {
-                        self.pending.pop_front();
-                        server.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
-                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return (false, progressed),
             }
         }
-        if self.wpos == self.wbuf.len() && self.wpos > 0 {
-            self.wbuf.clear();
-            self.wpos = 0;
+        while out.pending.front().is_some_and(|end| *end <= out.flushed) {
+            out.pending.pop_front();
+            metrics.inflight.fetch_sub(1, Ordering::Relaxed);
         }
         (true, progressed)
     }
 
-    /// One scheduler tick: flush, read, parse, dispatch. Returns
-    /// `(alive, progressed)`.
-    fn tick(&mut self, server: &ArtifactServer, scratch: &mut [u8]) -> (bool, bool) {
-        let (alive, mut progressed) = self.flush(server);
+    /// One scheduler tick: flush, read, parse and answer, advance
+    /// deferred work, promote ready replies. Returns `(alive, progressed)`.
+    fn tick<S: Service<Conn = C>>(&mut self, svc: &mut S, scratch: &mut [u8]) -> (bool, bool) {
+        let (alive, mut progressed) = self.flush(svc.metrics());
         if !alive {
             return (false, progressed);
         }
-        if self.read_closed {
-            // Half-closed peer: once the response backlog drains, the
-            // conversation is over.
-            return (self.backlog() > 0, progressed);
-        }
         // Backpressure: a peer that stops reading while pumping requests
-        // cannot balloon the response backlog past the same cumulative
-        // bound the wire's FrameBudget enforces per exchange — the loop
-        // simply stops reading it until the backlog drains.
-        if self.backlog() <= MAX_CONN_INFLIGHT {
+        // cannot balloon the reply backlog (parked replies included) past
+        // the same cumulative bound the wire's FrameBudget enforces per
+        // exchange — the loop simply stops reading it until it drains.
+        if !self.read_closed && self.out.backlog() <= MAX_CONN_INFLIGHT {
             loop {
                 match self.stream.read(scratch) {
                     Ok(0) => {
@@ -503,7 +607,7 @@ impl Conn {
                         self.rx.ingest(&scratch[..n]);
                         self.last_activity = Instant::now();
                         progressed = true;
-                        if self.backlog() + self.rx.buffered() as u64 > MAX_CONN_INFLIGHT {
+                        if self.out.backlog() + self.rx.buffered() as u64 > MAX_CONN_INFLIGHT {
                             break;
                         }
                     }
@@ -517,74 +621,87 @@ impl Conn {
             match self.rx.next_frame() {
                 Ok(Some(frame)) => {
                     progressed = true;
-                    self.respond(server, frame);
+                    self.respond(svc, frame);
                 }
                 Ok(None) => break,
                 Err(e) => {
                     // The stream can no longer be framed: drop the
-                    // connection, as the blocking loop did. The client
-                    // treats it as misses.
-                    eprintln!("[rtlt-stored] connection {}: {e}", self.peer);
+                    // connection. Clients treat it as a dead peer.
+                    eprintln!("[{}] connection {}: {e}", S::NAME, self.peer);
                     return (false, progressed);
                 }
             }
         }
-        if self.read_closed && self.backlog() == 0 {
-            return (false, progressed);
-        }
-        if self.last_activity.elapsed() > IDLE_TIMEOUT {
-            return (false, progressed);
-        }
-        (true, progressed)
+        let mut out = Replies {
+            out: &mut self.out,
+            tag: None,
+        };
+        progressed |= svc.advance(&mut self.state, &mut out);
+        self.out.promote();
+        // A half-closed peer is done once everything is answered.
+        let done = self.read_closed && self.out.unsettled() == 0;
+        (
+            !done && self.last_activity.elapsed() <= IDLE_TIMEOUT,
+            progressed,
+        )
     }
 }
 
-/// The event loop: serves `listener` forever on the calling thread —
-/// nonblocking accept plus per-connection readiness polling driven by
-/// `WouldBlock`. See the module docs for the architecture.
+/// The event loop: serves `listener` on the calling thread until `stop` is
+/// set (checked once per tick). See the module docs for the architecture.
 ///
 /// # Panics
 ///
 /// If the listener cannot be switched to nonblocking mode (a broken
 /// socket at startup — nothing can be served).
-pub fn serve(listener: TcpListener, server: Arc<ArtifactServer>) -> ! {
+pub fn serve_until<S: Service>(listener: TcpListener, mut service: S, stop: &AtomicBool) {
     listener
         .set_nonblocking(true)
         .expect("nonblocking listener");
-    let mut conns: Vec<Conn> = Vec::new();
+    let mut conns: Vec<Conn<S::Conn>> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
-    loop {
+    while !stop.load(Ordering::Relaxed) {
         let mut progressed = false;
         loop {
             match listener.accept() {
                 Ok((stream, peer)) => {
-                    // Nagle would add a delay to every small planner RPC
-                    // (LEASE/REPORT) and every tagged ack; the protocol
-                    // writes whole frames, so there is nothing to coalesce.
+                    // Nagle would delay every small RPC and ack; the
+                    // protocol writes whole frames, so nothing coalesces.
                     let _ = stream.set_nodelay(true);
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    server.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                    conns.push(Conn::new(stream, peer));
+                    service
+                        .metrics()
+                        .connections
+                        .fetch_add(1, Ordering::Relaxed);
+                    conns.push(Conn {
+                        stream,
+                        peer,
+                        rx: FrameReassembler::new(),
+                        out: Outbox::default(),
+                        state: S::Conn::default(),
+                        last_activity: Instant::now(),
+                        read_closed: false,
+                    });
                     progressed = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) => {
-                    eprintln!("[rtlt-stored] accept failed: {e}");
+                    eprintln!("[{}] accept failed: {e}", S::NAME);
                     break;
                 }
             }
         }
         conns.retain_mut(|conn| {
-            let (alive, p) = conn.tick(&server, &mut scratch);
+            let (alive, p) = conn.tick(&mut service, &mut scratch);
             progressed |= p;
             if !alive {
-                server.metrics.connections.fetch_sub(1, Ordering::Relaxed);
-                server
-                    .metrics
+                let metrics = service.metrics();
+                metrics.connections.fetch_sub(1, Ordering::Relaxed);
+                metrics
                     .inflight
-                    .fetch_sub(conn.pending.len() as u64, Ordering::Relaxed);
+                    .fetch_sub(conn.out.unsettled(), Ordering::Relaxed);
             }
             alive
         });
@@ -594,19 +711,48 @@ pub fn serve(listener: TcpListener, server: Arc<ArtifactServer>) -> ! {
     }
 }
 
-/// Binds `addr` and serves an [`ArtifactServer`] on a background thread —
-/// the in-process form the integration tests (and the bin) use. Returns
-/// the bound address (useful with port 0).
+/// Handle to a [`spawn`]ed event loop.
+#[derive(Debug)]
+pub struct ServerHandle {
+    /// The bound listen address (useful with port 0).
+    pub addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl ServerHandle {
+    /// Stops the event loop within a tick; open connections drop (tests
+    /// use this to simulate a killed server).
+    pub fn stop(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+    }
+
+    /// Blocks until the event loop stops.
+    ///
+    /// # Panics
+    ///
+    /// If the loop's thread panicked.
+    pub fn join(self) {
+        self.thread.join().expect("event loop thread");
+    }
+}
+
+/// Binds `addr` and serves `service` on a background thread.
 ///
 /// # Errors
 ///
 /// Propagates the bind failure.
-pub fn spawn(addr: &str, cfg: &ServerConfig) -> std::io::Result<std::net::SocketAddr> {
+pub fn spawn<S: Service + Send + 'static>(addr: &str, service: S) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
-    let server = Arc::new(ArtifactServer::new(cfg));
-    std::thread::spawn(move || serve(listener, server));
-    Ok(bound)
+    let stop = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&stop);
+    let thread = std::thread::spawn(move || serve_until(listener, service, &flag));
+    Ok(ServerHandle {
+        addr: bound,
+        stop,
+        thread,
+    })
 }
 
 #[cfg(test)]
@@ -616,6 +762,7 @@ mod tests {
     use crate::hash::KeyBuilder;
     use crate::wire::tag_request;
     use crate::ContentHash;
+    use std::io::Write;
 
     fn key(n: u64) -> ContentHash {
         KeyBuilder::new("server-test").u64(n).finish()
@@ -804,7 +951,9 @@ mod tests {
             mem_budget: 1 << 20,
             lease_timeout: crate::plan::DEFAULT_LEASE_TIMEOUT,
         };
-        let addr = spawn("127.0.0.1:0", &cfg).expect("bind ephemeral port");
+        let addr = spawn("127.0.0.1:0", ArtifactServer::new(&cfg))
+            .expect("bind ephemeral port")
+            .addr;
         let mut conn = TcpStream::connect(addr).expect("connect");
         conn.set_read_timeout(Some(Duration::from_secs(10)))
             .expect("read timeout");
@@ -845,6 +994,123 @@ mod tests {
         let reply = exchange(get2("ns", key(1)).to_frame());
         assert_eq!(Response::from_frame(&reply), Ok(Response::Hit(frame)));
         let _ = std::fs::remove_dir_all(&scratch);
+    }
+
+    #[test]
+    fn queued_replies_count_toward_the_read_backlog() {
+        // A reply that is ready but queued behind a deferred one has not
+        // left the server; the read gate must see its bytes, or a peer
+        // could pipeline an unbounded queue behind one slow job.
+        let mut out = Outbox::default();
+        let mut ticket = 0;
+        out.exchange(None, |r| ticket = r.defer());
+        assert_eq!(out.backlog(), 0);
+        let reply = Response::Hit(vec![7; 1000]);
+        let len = reply.to_frame().to_bytes().len() as u64;
+        for tag in [None, Some(9)] {
+            out.exchange(tag, |r| r.push(reply.clone()));
+        }
+        assert!(out.backlog() >= 2 * len, "queued bytes are backlog");
+        assert_eq!((out.wbuf.len(), out.unsettled()), (0, 3));
+        // Fulfilling the deferred reply releases the whole queue, in
+        // request order, into the write buffer.
+        let mut head = Replies {
+            out: &mut out,
+            tag: None,
+        };
+        head.fulfil(ticket, Response::Miss);
+        out.promote();
+        assert_eq!(out.backlog(), out.wbuf.len() as u64);
+        assert!(out.backlog() > 2 * len);
+        assert_eq!((out.queued_bytes, out.unsettled()), (0, 3));
+    }
+
+    /// Test service: the first request it ever sees is deferred until
+    /// `release` is set, every other one is answered inline. LEASE `w` is
+    /// answered `Leased { design: w }`, so each reply names its request.
+    #[derive(Default)]
+    struct DeferFirst {
+        release: Arc<AtomicBool>,
+        deferred_once: bool,
+        metrics: ServerMetrics,
+    }
+
+    impl Service for DeferFirst {
+        const NAME: &'static str = "defer-first";
+        type Conn = Option<(u64, Response)>;
+
+        fn respond(&mut self, conn: &mut Self::Conn, req: Request, out: &mut Replies<'_>) {
+            let Request::Lease { worker } = req else {
+                return out.push(Response::Failed("lease only".into()));
+            };
+            let reply = Response::Leased { design: worker };
+            if std::mem::replace(&mut self.deferred_once, true) {
+                out.push(reply);
+            } else {
+                *conn = Some((out.defer(), reply));
+            }
+        }
+
+        fn advance(&mut self, conn: &mut Self::Conn, out: &mut Replies<'_>) -> bool {
+            let ready = self.release.load(Ordering::Relaxed);
+            let head = conn.take_if(|_| ready);
+            head.map(|(ticket, reply)| out.fulfil(ticket, reply))
+                .is_some()
+        }
+
+        fn metrics(&self) -> &ServerMetrics {
+            &self.metrics
+        }
+    }
+
+    #[test]
+    fn deferred_replies_keep_order_and_tags_without_blocking_other_connections() {
+        let svc = DeferFirst::default();
+        let release = Arc::clone(&svc.release);
+        let handle = spawn("127.0.0.1:0", svc).expect("bind ephemeral port");
+        let connect = || {
+            let conn = TcpStream::connect(handle.addr).expect("connect");
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            conn
+        };
+        let lease = |w: &str| Request::Lease { worker: w.into() }.to_frame();
+        let leased = |w: &str| Response::Leased { design: w.into() }.to_frame();
+        let wrap = |tag: Option<u64>, f: Frame, envelope: fn(u64, &Frame) -> Frame| {
+            tag.map_or(f.clone(), |t| envelope(t, &f))
+        };
+        // Connection A: a tagged request the service defers, then bare and
+        // tagged ones it answers inline, all in one write.
+        let script = [(Some(1), "a0"), (None, "a1"), (Some(2), "a2"), (None, "a3")];
+        let mut a = connect();
+        let bytes: Vec<u8> = script
+            .iter()
+            .flat_map(|&(tag, w)| wrap(tag, lease(w), tag_request).to_bytes())
+            .collect();
+        a.write_all(&bytes).expect("write");
+        // Connection B is answered while A's head is still deferred.
+        let mut b = connect();
+        for (tag, w) in [(Some(10), "b0"), (None, "b1")] {
+            wrap(tag, lease(w), tag_request)
+                .write_to(&mut b)
+                .expect("write");
+            let reply = Frame::read_from(&mut b).expect("reply");
+            assert_eq!(reply, wrap(tag, leased(w), tag_response), "{w}");
+        }
+        a.set_read_timeout(Some(Duration::from_millis(100)))
+            .expect("read timeout");
+        assert!(Frame::read_from(&mut a).is_err(), "A waits behind its head");
+        a.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        // Released, A's replies leave in request order, each echoing its
+        // request's tag.
+        release.store(true, Ordering::Relaxed);
+        for (tag, w) in script {
+            let reply = Frame::read_from(&mut a).expect("reply");
+            assert_eq!(reply, wrap(tag, leased(w), tag_response), "{w}");
+        }
+        handle.stop();
+        handle.join();
     }
 
     #[test]

@@ -315,9 +315,7 @@ impl Frame {
     /// Any [`WireError`]; truncation surfaces as
     /// [`WireError::Io`]`(UnexpectedEof)`.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, WireError> {
-        let mut header = [0u8; FRAME_HEADER];
-        r.read_exact(&mut header)?;
-        Self::parse_after_header(&header, r, None)
+        Self::read_budgeted(r, &mut FrameBudget::new(u64::MAX))
     }
 
     /// Like [`Frame::read_from`], but charges the body length against the
@@ -329,73 +327,10 @@ impl Frame {
     pub fn read_budgeted<R: Read>(r: &mut R, budget: &mut FrameBudget) -> Result<Frame, WireError> {
         let mut header = [0u8; FRAME_HEADER];
         r.read_exact(&mut header)?;
-        Self::parse_after_header(&header, r, Some(budget))
-    }
-
-    /// Like [`Frame::read_from`], but a connection closed *before any
-    /// header byte* reads as `Ok(None)` — the server's idle-connection
-    /// exit, distinct from a truncated frame.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Frame::read_from`].
-    pub fn read_opt<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
-        Self::read_opt_budgeted_impl(r, None)
-    }
-
-    /// [`Frame::read_opt`] charging the connection's cumulative
-    /// [`FrameBudget`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Frame::read_opt`], plus [`WireError::BudgetExceeded`].
-    pub fn read_opt_budgeted<R: Read>(
-        r: &mut R,
-        budget: &mut FrameBudget,
-    ) -> Result<Option<Frame>, WireError> {
-        Self::read_opt_budgeted_impl(r, Some(budget))
-    }
-
-    fn read_opt_budgeted_impl<R: Read>(
-        r: &mut R,
-        budget: Option<&mut FrameBudget>,
-    ) -> Result<Option<Frame>, WireError> {
-        let mut first = [0u8; 1];
-        match r.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {}
-            Err(e) => return Err(e.into()),
-        }
-        let mut rest = [0u8; FRAME_HEADER - 1];
-        r.read_exact(&mut rest)?;
-        let mut header = [0u8; FRAME_HEADER];
-        header[0] = first[0];
-        header[1..].copy_from_slice(&rest);
-        Self::parse_after_header(&header, r, budget).map(Some)
-    }
-
-    fn parse_after_header<R: Read>(
-        header: &[u8; FRAME_HEADER],
-        r: &mut R,
-        budget: Option<&mut FrameBudget>,
-    ) -> Result<Frame, WireError> {
-        if header[..4] != WIRE_MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != FRAME_VERSION {
-            return Err(WireError::Version(version));
-        }
-        let op = header[8];
-        let len = u64::from_le_bytes(header[9..17].try_into().expect("8 bytes"));
-        if len > MAX_FRAME_BODY {
-            return Err(WireError::Oversized(len));
-        }
-        if let Some(budget) = budget {
-            // Charged before the allocation below, for the same reason the
-            // per-frame cap is: the budget defends the reader's memory.
-            budget.charge(len)?;
-        }
+        let (op, len) = parse_header(&header)?;
+        // Charged before the allocation below, for the same reason the
+        // per-frame cap is: the budget defends the reader's memory.
+        budget.charge(len)?;
         let mut body = vec![0u8; len as usize];
         r.read_exact(&mut body)?;
         let mut trailer = [0u8; 8];
@@ -405,6 +340,25 @@ impl Frame {
         }
         Ok(Frame { op, body })
     }
+}
+
+/// Validates a frame header — magic, version and a body length within
+/// [`MAX_FRAME_BODY`] — and returns the opcode and body length. Both the
+/// blocking readers and [`FrameReassembler`] run it before they allocate
+/// or buffer a single body byte.
+fn parse_header(header: &[u8]) -> Result<(u8, u64), WireError> {
+    if header[..4] != WIRE_MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    if version != FRAME_VERSION {
+        return Err(WireError::Version(version));
+    }
+    let len = u64::from_le_bytes(header[9..17].try_into().expect("8 bytes"));
+    if len > MAX_FRAME_BODY {
+        return Err(WireError::Oversized(len));
+    }
+    Ok((header[8], len))
 }
 
 /// Wraps a request frame in a multiplexing envelope: the
@@ -508,18 +462,7 @@ impl FrameReassembler {
         // Validate the header before waiting for (or buffering) a body:
         // a corrupt length field must fail now, not after a gigabyte of
         // "body" accumulates.
-        if avail[..4] != WIRE_MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = u32::from_le_bytes(avail[4..8].try_into().expect("4 bytes"));
-        if version != FRAME_VERSION {
-            return Err(WireError::Version(version));
-        }
-        let op = avail[8];
-        let len = u64::from_le_bytes(avail[9..17].try_into().expect("8 bytes"));
-        if len > MAX_FRAME_BODY {
-            return Err(WireError::Oversized(len));
-        }
+        let (op, len) = parse_header(&avail[..FRAME_HEADER])?;
         let total = FRAME_HEADER + len as usize + 8;
         if avail.len() < total {
             return Ok(None);
@@ -1583,13 +1526,6 @@ mod tests {
             Frame::read_from(&mut corrupt.as_slice()),
             Err(WireError::Checksum)
         );
-    }
-
-    #[test]
-    fn clean_eof_reads_as_no_frame() {
-        assert_eq!(Frame::read_opt(&mut [].as_ref()).unwrap(), None);
-        // One stray byte is a truncated frame, not a clean close.
-        assert!(Frame::read_opt(&mut [b'R'].as_ref()).is_err());
     }
 
     #[test]

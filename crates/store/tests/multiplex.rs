@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rtlt_store::plan::DEFAULT_LEASE_TIMEOUT;
-use rtlt_store::server::{spawn, ServerConfig};
+use rtlt_store::server::{spawn, ArtifactServer, ServerConfig};
 use rtlt_store::wire::{
     op, tag_request, tag_response, untag, Frame, Request, Response, PAYLOAD_ENCODING_FRAME,
 };
@@ -28,7 +28,10 @@ fn server_addr() -> &'static str {
             mem_budget: 1 << 20,
             lease_timeout: DEFAULT_LEASE_TIMEOUT,
         };
-        spawn("127.0.0.1:0", &cfg).expect("bind").to_string()
+        spawn("127.0.0.1:0", ArtifactServer::new(&cfg))
+            .expect("bind")
+            .addr
+            .to_string()
     })
 }
 

@@ -4,7 +4,7 @@
 //! must reproduce cold-run behavior exactly, never an error.
 
 use rtlt_store::plan::LeaseGrant;
-use rtlt_store::server::{spawn, ServerConfig};
+use rtlt_store::server::{spawn, ArtifactServer, ServerConfig};
 use rtlt_store::{
     ContentHash, KeyBuilder, MemTier, RemoteTier, Store, StoreTier, TierKind, TierLookup,
 };
@@ -45,8 +45,10 @@ fn start_server(scratch: &ScratchDir) -> String {
         mem_budget: 1 << 20,
         lease_timeout: rtlt_store::plan::DEFAULT_LEASE_TIMEOUT,
     };
-    let addr = spawn("127.0.0.1:0", &cfg).expect("bind ephemeral port");
-    addr.to_string()
+    spawn("127.0.0.1:0", ArtifactServer::new(&cfg))
+        .expect("bind ephemeral port")
+        .addr
+        .to_string()
 }
 
 /// An address in the dynamic port range nothing is listening on: bind an
