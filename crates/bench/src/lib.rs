@@ -19,13 +19,8 @@
 //!   preparation: this invocation prepares only shard `I` of `N` (see
 //!   [`Bench::prepare_shard`]; binaries that train models run them only
 //!   unsharded),
-//! * `--steal` / `RTLT_STEAL=1` — dynamic work-stealing preparation: the
-//!   worker leases design names from the `rtlt-stored` server's shard
-//!   planner instead of a static split (needs `--remote`; see
-//!   [`Bench::prepare_suite_stolen`]). `RTLT_WORKER` names the worker
-//!   (default `worker-<pid>`), `RTLT_STEAL_STALL_MS` injects a
-//!   post-lease stall (the CI handicap hook), and `RTLT_THREADS`
-//!   overrides the worker's thread count (the CI throttle hook),
+//! * `RTLT_THREADS=<N>` — worker thread count (default: the available
+//!   parallelism),
 //! * `gc [BUDGET_BYTES]` subcommand — size-bounded LRU-by-mtime eviction of
 //!   the **local** disk tier (budget also via `RTLT_CACHE_BUDGET_BYTES`,
 //!   default 4 GiB), then exit,
@@ -46,12 +41,12 @@ pub mod json;
 
 use json::Json;
 use rtl_timer::cache::stage;
-use rtl_timer::pipeline::{DesignSet, StealConfig, StolenPrepare, TimerConfig};
+use rtl_timer::pipeline::{DesignSet, TimerConfig};
 use rtlt_store::{NamespaceStats, RemoteTier, StatsSnapshot, Store, TierKind, TierPolicy};
 use std::cell::{Cell, RefCell};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default disk-tier GC budget when neither the `gc` argument nor
 /// `RTLT_CACHE_BUDGET_BYTES` specifies one: 4 GiB.
@@ -98,7 +93,10 @@ pub fn run_maintenance(store: &Store) -> bool {
             std::process::exit(2);
         }
         for src in &args[1..] {
-            let r = store.merge_disk_tier(std::path::Path::new(src));
+            let r = store.merge_disk_tier(Path::new(src)).unwrap_or_else(|e| {
+                eprintln!("error: merge source {src}: {e}");
+                std::process::exit(2);
+            });
             println!(
                 "[merge] {src}: merged {} entries ({} KiB), {} already present, {} invalid skipped",
                 r.merged_files,
@@ -235,79 +233,6 @@ pub fn config() -> TimerConfig {
     cfg
 }
 
-/// Whether dynamic work-stealing preparation is requested (`--steal` flag
-/// or `RTLT_STEAL=1`).
-pub fn steal() -> bool {
-    std::env::args().skip(1).any(|a| a == "--steal")
-        || std::env::var("RTLT_STEAL")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-}
-
-/// Stable worker identity for lease bookkeeping: `RTLT_WORKER`, else
-/// `worker-<pid>`.
-pub fn worker_id() -> String {
-    std::env::var("RTLT_WORKER")
-        .ok()
-        .filter(|w| !w.is_empty())
-        .unwrap_or_else(|| format!("worker-{}", std::process::id()))
-}
-
-/// Post-lease stall (`RTLT_STEAL_STALL_MS`): the CI fleet-steal smoke
-/// handicaps one worker with this so its lease deterministically expires
-/// and the other worker steals the design. Zero (the default) in any real
-/// deployment.
-pub fn steal_stall() -> Duration {
-    Duration::from_millis(
-        std::env::var("RTLT_STEAL_STALL_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-    )
-}
-
-/// Extracts per-design prepare-cost priors from a previous run's
-/// `BENCH_runtime.json` (`design_seconds` object), to seed the fleet
-/// planner's longest-expected-first ordering. Returns an empty list when
-/// the file is absent or does not carry the section — priors are an
-/// optimization, never a requirement.
-///
-/// Hand-rolled scan (the workspace renders JSON but deliberately carries
-/// no parser): tolerant of field order and whitespace, keyed on the exact
-/// `"design_seconds"` object shape [`Bench::write_report`] emits.
-pub fn load_cost_priors(path: &Path) -> Vec<(String, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Some(at) = text.find("\"design_seconds\"") else {
-        return Vec::new();
-    };
-    let rest = &text[at..];
-    let Some(open) = rest.find('{') else {
-        return Vec::new();
-    };
-    let Some(close) = rest[open..].find('}') else {
-        return Vec::new();
-    };
-    let body = &rest[open + 1..open + close];
-    let mut out = Vec::new();
-    for pair in body.split(',') {
-        let Some((k, v)) = pair.split_once(':') else {
-            continue;
-        };
-        let name = k.trim().trim_matches('"');
-        if name.is_empty() {
-            continue;
-        }
-        if let Ok(seconds) = v.trim().parse::<f64>() {
-            if seconds.is_finite() && seconds >= 0.0 {
-                out.push((name.to_owned(), seconds));
-            }
-        }
-    }
-    out
-}
-
 /// Resolves the shared cache directory: `--cache-dir` argument first, then
 /// `RTLT_CACHE_DIR`, then the `target/rtlt-cache` default. `none`, `off`
 /// and the empty string disable the disk tier.
@@ -407,7 +332,7 @@ pub fn shard_spec() -> Option<(usize, usize)> {
 }
 
 /// Positional process arguments with harness flags (`--cache-dir [DIR]`,
-/// `--remote [ADDR]`, `--shard [I/N]`, `--steal`, `--cache-stats`)
+/// `--remote [ADDR]`, `--shard [I/N]`, `--cache-stats`)
 /// stripped — for binaries that take a design name argument.
 pub fn positional_args() -> Vec<String> {
     let mut out = Vec::new();
@@ -419,7 +344,6 @@ pub fn positional_args() -> Vec<String> {
             && !a.starts_with("--remote=")
             && !a.starts_with("--shard=")
             && a != "--cache-stats"
-            && a != "--steal"
         {
             out.push(a);
         }
@@ -441,8 +365,7 @@ pub struct Bench {
     /// loop's uncached measurements) don't leak into the report.
     dedup_stats: Cell<Option<rtl_timer::dataset::ConeDedupStats>>,
     /// Observed per-design prepare wall times of the last preparation —
-    /// written into `BENCH_<bin>.json` as `design_seconds`, where the
-    /// next fleet run's planner reads them as cost priors.
+    /// written into `BENCH_<bin>.json` as `design_seconds`.
     design_seconds: RefCell<Vec<(String, f64)>>,
 }
 
@@ -495,34 +418,7 @@ impl Bench {
     /// Prepares the 21-design suite through the store, printing progress
     /// timing and the per-stage cache outcome.
     pub fn prepare_suite(&self) -> DesignSet {
-        match self.store.disk_dir() {
-            Some(dir) => eprintln!(
-                "[harness] preparing 21-design suite (threads={}, cache-dir={}) ...",
-                self.cfg.threads,
-                dir.display()
-            ),
-            None => eprintln!(
-                "[harness] preparing 21-design suite (threads={}, cache-dir=none) ...",
-                self.cfg.threads
-            ),
-        }
-        let t = Instant::now();
-        let sources = rtlt_designgen::generate_all();
-        let (set, timed) = DesignSet::prepare_named_timed_with(&sources, &self.cfg, &self.store)
-            .unwrap_or_else(|e| panic!("{e}"));
-        *self.design_seconds.borrow_mut() = timed;
-        let secs = t.elapsed().as_secs_f64();
-        self.prep_seconds.set(secs);
-        self.dedup_stats
-            .set(Some(rtl_timer::dataset::cone_dedup_stats()));
-        let agg = self.prepare_stats();
-        eprintln!(
-            "[harness] suite ready in {secs:.1}s (prepare stages: {} hits / {} lookups = {:.1}% hit rate)",
-            agg.hits(),
-            agg.lookups(),
-            agg.hit_rate_pct()
-        );
-        set
+        self.prepare_timed("21-design suite", rtlt_designgen::generate_all)
     }
 
     /// Fleet-sharded preparation: prepares only shard `index` of `count`
@@ -531,17 +427,29 @@ impl Bench {
     /// tiers of N such runs merge (`merge` subcommand) into one cache that
     /// is byte-identical to an unsharded cold prepare.
     pub fn prepare_shard(&self, index: usize, count: usize) -> DesignSet {
+        self.prepare_timed(&format!("suite shard {index}/{count}"), || {
+            DesignSet::shard_sources(&rtlt_designgen::generate_all(), index, count)
+        })
+    }
+
+    /// Generates `sources` and prepares them through the store, recording
+    /// the wall time (generation included), per-design times and dedup
+    /// counters for the report.
+    fn prepare_timed(
+        &self,
+        what: &str,
+        sources: impl FnOnce() -> Vec<(String, String)>,
+    ) -> DesignSet {
+        let cache_dir = self
+            .store
+            .disk_dir()
+            .map_or_else(|| "none".to_owned(), |dir| dir.display().to_string());
         eprintln!(
-            "[harness] preparing suite shard {index}/{count} (threads={}, cache-dir={}) ...",
-            self.cfg.threads,
-            match self.store.disk_dir() {
-                Some(dir) => dir.display().to_string(),
-                None => "none".to_owned(),
-            }
+            "[harness] preparing {what} (threads={}, cache-dir={cache_dir}) ...",
+            self.cfg.threads
         );
         let t = Instant::now();
-        let sources = DesignSet::shard_sources(&rtlt_designgen::generate_all(), index, count);
-        let (set, timed) = DesignSet::prepare_named_timed_with(&sources, &self.cfg, &self.store)
+        let (set, timed) = DesignSet::prepare_named_timed_with(&sources(), &self.cfg, &self.store)
             .unwrap_or_else(|e| panic!("{e}"));
         *self.design_seconds.borrow_mut() = timed;
         let secs = t.elapsed().as_secs_f64();
@@ -550,60 +458,13 @@ impl Bench {
             .set(Some(rtl_timer::dataset::cone_dedup_stats()));
         let agg = self.prepare_stats();
         eprintln!(
-            "[harness] shard {index}/{count} ready: {} designs in {secs:.1}s ({} hits / {} lookups = {:.1}% hit rate)",
+            "[harness] {what} ready: {} designs in {secs:.1}s ({} hits / {} lookups = {:.1}% hit rate)",
             set.designs().len(),
             agg.hits(),
             agg.lookups(),
             agg.hit_rate_pct()
         );
         set
-    }
-
-    /// Work-stealing fleet preparation: leases suite designs from the
-    /// `rtlt-stored` server behind `fleet` instead of taking a static
-    /// shard, seeding the planner's cost model from the previous
-    /// `BENCH_runtime.json` when one is present. Returns `None` when the
-    /// server is unreachable or too old to plan — the caller degrades to
-    /// the static-shard/full path.
-    pub fn prepare_suite_stolen(&self, fleet: &RemoteTier) -> Option<StolenPrepare> {
-        let steal = StealConfig {
-            stall_after_lease: steal_stall(),
-            fallback_shard: shard_spec(),
-            cost_priors: load_cost_priors(Path::new("BENCH_runtime.json")),
-            ..StealConfig::new(worker_id())
-        };
-        eprintln!(
-            "[harness] work-stealing preparation as {:?} (threads={}, cache-dir={}, {} cost priors)",
-            steal.worker,
-            self.cfg.threads,
-            match self.store.disk_dir() {
-                Some(dir) => dir.display().to_string(),
-                None => "none".to_owned(),
-            },
-            steal.cost_priors.len()
-        );
-        let t = Instant::now();
-        let out = DesignSet::prepare_suite_stolen(&self.cfg, &self.store, fleet, &steal)?;
-        let secs = t.elapsed().as_secs_f64();
-        self.prep_seconds.set(secs);
-        self.dedup_stats
-            .set(Some(rtl_timer::dataset::cone_dedup_stats()));
-        *self.design_seconds.borrow_mut() = out.design_seconds.clone();
-        let agg = self.prepare_stats();
-        eprintln!(
-            "[harness] stolen share ready: {} designs over {} leases in {secs:.1}s{} ({} hits / {} lookups = {:.1}% hit rate)",
-            out.set.designs().len(),
-            out.leases,
-            if out.fell_back {
-                " [static fallback after server loss]"
-            } else {
-                ""
-            },
-            agg.hits(),
-            agg.lookups(),
-            agg.hit_rate_pct()
-        );
-        Some(out)
     }
 
     /// Shared-cone dedup counters as of the end of the last preparation
@@ -779,8 +640,7 @@ impl Bench {
                 "cold_featurize_seconds".to_owned(),
                 Json::Num(dedup.featurize_seconds),
             ),
-            // Per-design prepare wall times (sorted by name): the cost
-            // priors the next fleet run's shard planner seeds from.
+            // Per-design prepare wall times, sorted by name.
             ("design_seconds".to_owned(), {
                 let mut timed = self.design_seconds.borrow().clone();
                 timed.sort_by(|a, b| a.0.cmp(&b.0));
@@ -978,54 +838,6 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert!(median(&[]).is_nan());
-    }
-
-    #[test]
-    fn cost_priors_scan_round_trips_the_report_shape() {
-        let dir = std::env::temp_dir().join(format!("rtlt-priors-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join("BENCH_runtime.json");
-        // Exactly the shape write_report emits.
-        let report = Json::obj([
-            ("bin", Json::Str("runtime".into())),
-            (
-                "design_seconds",
-                Json::Obj(vec![
-                    ("b17".to_owned(), Json::Num(3.25)),
-                    ("b18".to_owned(), Json::Num(0.5)),
-                    ("nanvalue".to_owned(), Json::Num(f64::NAN)), // renders null
-                ]),
-            ),
-            ("suite_prep_seconds", Json::Num(10.0)),
-        ]);
-        std::fs::write(&path, report.render()).expect("write report");
-        let priors = load_cost_priors(&path);
-        assert_eq!(
-            priors,
-            vec![("b17".to_owned(), 3.25), ("b18".to_owned(), 0.5)],
-            "finite entries load; the null renders are skipped"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cost_priors_missing_file_or_section_is_empty() {
-        assert!(load_cost_priors(Path::new("/nonexistent/BENCH_runtime.json")).is_empty());
-        let dir = std::env::temp_dir().join(format!("rtlt-priors-empty-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join("BENCH_runtime.json");
-        std::fs::write(&path, "{\n  \"bin\": \"runtime\"\n}\n").expect("write");
-        assert!(load_cost_priors(&path).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn steal_stall_defaults_to_zero() {
-        // Environment-free default (CI sets RTLT_STEAL_STALL_MS only in
-        // the fleet-steal smoke).
-        if std::env::var("RTLT_STEAL_STALL_MS").is_err() {
-            assert!(steal_stall().is_zero());
-        }
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn sharded_prepare_and_merge_is_byte_identical_to_cold_prepare() {
     let merged_store = Store::on_disk(&merged_dir.0);
     let mut merged_files = 0;
     for dir in &shard_dirs {
-        let report = merged_store.merge_disk_tier(&dir.0);
+        let report = merged_store.merge_disk_tier(&dir.0).expect("shard dir");
         assert_eq!(report.invalid_entries, 0);
         merged_files += report.merged_files + report.skipped_existing;
     }
@@ -158,13 +158,13 @@ fn merge_skips_invalid_entries_and_existing_keys() {
     std::fs::write(&bogus, b"not an entry").expect("write bogus");
 
     let dst_store = Store::on_disk(&dst.0);
-    let first = dst_store.merge_disk_tier(&src.0);
+    let first = dst_store.merge_disk_tier(&src.0).expect("source dir");
     assert_eq!(first.merged_files, 1);
     assert_eq!(first.invalid_entries, 1);
     assert_eq!(first.skipped_existing, 0);
 
     // Merging again: the key already exists, nothing is rewritten.
-    let second = dst_store.merge_disk_tier(&src.0);
+    let second = dst_store.merge_disk_tier(&src.0).expect("source dir");
     assert_eq!(second.merged_files, 0);
     assert_eq!(second.skipped_existing, 1);
 
@@ -174,9 +174,18 @@ fn merge_skips_invalid_entries_and_existing_keys() {
         vec![1, 2, 3]
     );
 
+    // A missing source (a mistyped shard dir) is an error naming the
+    // cause, not an empty merge.
+    let missing = dst_store
+        .merge_disk_tier(&src.0.join("no-such-shard"))
+        .expect_err("missing source dir");
+    assert_eq!(missing.kind(), std::io::ErrorKind::NotFound);
+
     // Merging into a store with no disk tier is a zero no-op.
     assert_eq!(
-        Store::in_memory().merge_disk_tier(&src.0),
+        Store::in_memory()
+            .merge_disk_tier(&src.0)
+            .expect("no disk tier"),
         rtlt_store::MergeReport::default()
     );
 }

@@ -58,7 +58,6 @@ pub mod codec;
 pub mod compress;
 pub mod entry;
 pub mod hash;
-pub mod plan;
 pub mod remote;
 pub mod server;
 pub mod stats;
@@ -67,7 +66,6 @@ pub mod wire;
 
 pub use codec::{Codec, CodecError, Dec, Enc, FORMAT_VERSION};
 pub use hash::{ContentHash, KeyBuilder};
-pub use plan::{LeaseGrant, PlanStats, Planner};
 pub use remote::RemoteTier;
 pub use stats::{NamespaceStats, StatsSnapshot, TierHits};
 pub use tier::{
@@ -660,13 +658,17 @@ impl Store {
     /// fleet preparation: N workers prepare disjoint design subsets into
     /// disjoint cache dirs, then one merge builds the single warm cache.
     /// Returns a zero report when this store has no disk tier.
-    pub fn merge_disk_tier(&self, src_dir: &Path) -> MergeReport {
+    ///
+    /// # Errors
+    ///
+    /// `src_dir` cannot be listed (see [`DiskTier::merge_from`]).
+    pub fn merge_disk_tier(&self, src_dir: &Path) -> std::io::Result<MergeReport> {
         for tier in &self.tiers {
             if let Some(root) = tier.disk_root() {
                 return DiskTier::new(root).merge_from(src_dir);
             }
         }
-        MergeReport::default()
+        Ok(MergeReport::default())
     }
 }
 

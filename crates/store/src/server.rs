@@ -31,15 +31,10 @@
 //! hold [`crate::compress`] frames and the data ops (`GET2`/`PUT2`/
 //! `GETM2`) move them verbatim. Unknown payload encodings degrade to miss
 //! (GET) or a discarded write (PUT), never to garbage; unknown opcodes,
-//! the retired generation-1 data ops included, are answered `Failed` on
-//! the still-alive connection.
-//!
-//! Beyond bytes, the server holds the fleet's [`Planner`]: LEASE/REPORT/
-//! PLAN requests let workers draw design names from one shared
-//! work-stealing queue (see [`crate::plan`]), and GETM2 answers a whole
+//! the retired generation-1 data ops and planner verbs included, are
+//! answered `Failed` on the still-alive connection. GETM2 answers a whole
 //! key batch as a stream of bounded [`Response::BatchPart`] chunks.
 
-use crate::plan::{LeaseGrant, Planner};
 use crate::tier::{DiskTier, MemTier, StoreTier, TierLookup};
 use crate::wire::{
     op, tag_response, untag, Frame, FrameReassembler, Request, Response, ServerLoad,
@@ -68,13 +63,9 @@ pub struct ServerConfig {
     pub dir: PathBuf,
     /// Byte budget of the in-memory tier (0 disables it).
     pub mem_budget: usize,
-    /// Deadline after which a silent worker's design lease is re-queued
-    /// (work stealing).
-    pub lease_timeout: Duration,
 }
 
-/// The shared artifact service: a tier stack, the fleet planner, and the
-/// request handler.
+/// The shared artifact service: a tier stack and the request handler.
 ///
 /// Transport-independent — [`ArtifactServer::handle`] maps one
 /// single-response request to its response and
@@ -84,7 +75,6 @@ pub struct ServerConfig {
 #[derive(Debug)]
 pub struct ArtifactServer {
     tiers: Vec<Arc<dyn StoreTier>>,
-    planner: Planner,
     metrics: ServerMetrics,
 }
 
@@ -119,26 +109,15 @@ impl ArtifactServer {
             tiers.push(Arc::new(MemTier::new(cfg.mem_budget)));
         }
         tiers.push(Arc::new(DiskTier::new(cfg.dir.clone())));
-        ArtifactServer {
-            tiers,
-            planner: Planner::new(cfg.lease_timeout),
-            metrics: ServerMetrics::default(),
-        }
+        ArtifactServer::with_tiers(tiers)
     }
 
-    /// Server over an explicit tier stack (fallback order) with the
-    /// default lease timeout.
+    /// Server over an explicit tier stack (fallback order).
     pub fn with_tiers(tiers: Vec<Arc<dyn StoreTier>>) -> ArtifactServer {
         ArtifactServer {
             tiers,
-            planner: Planner::default(),
             metrics: ServerMetrics::default(),
         }
-    }
-
-    /// The fleet work queue.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
     }
 
     /// One tier-stack lookup with promotion into earlier (faster) tiers,
@@ -174,24 +153,6 @@ impl ArtifactServer {
             Request::GetBatch2 { .. } => {
                 Response::Failed("GETM2 is a streaming request; use handle_batch".to_owned())
             }
-            Request::Lease { worker } => match self.planner.lease(&worker) {
-                LeaseGrant::Granted { design } => Response::Leased { design },
-                LeaseGrant::Drained { outstanding } => Response::Drained { outstanding },
-            },
-            Request::Report {
-                worker,
-                design,
-                seconds,
-                ok,
-            } => {
-                self.planner.complete(&worker, &design, seconds, ok);
-                Response::Done(Default::default())
-            }
-            Request::Plan { epoch, designs } => {
-                self.planner.plan(epoch, &designs);
-                Response::Done(Default::default())
-            }
-            Request::PlanStat => Response::PlanStats(self.planner.stats()),
             Request::Put2 {
                 ns,
                 key,
@@ -760,7 +721,7 @@ mod tests {
     use super::*;
     use crate::compress;
     use crate::hash::KeyBuilder;
-    use crate::wire::tag_request;
+    use crate::wire::{tag_request, WireError};
     use crate::ContentHash;
     use std::io::Write;
 
@@ -885,55 +846,12 @@ mod tests {
     }
 
     #[test]
-    fn planner_verbs_round_trip_through_handle() {
-        let server = ArtifactServer::with_tiers(vec![Arc::new(MemTier::new(1 << 20))]);
-        assert!(matches!(
-            server.handle(Request::Plan {
-                epoch: 1,
-                designs: vec![("small".into(), 1.0), ("big".into(), 7.0)],
-            }),
-            Response::Done(_)
-        ));
-        assert_eq!(
-            server.handle(Request::Lease {
-                worker: "w1".into()
-            }),
-            Response::Leased {
-                design: "big".into()
-            }
-        );
-        assert!(matches!(
-            server.handle(Request::Report {
-                worker: "w1".into(),
-                design: "big".into(),
-                seconds: 2.0,
-                ok: true,
-            }),
-            Response::Done(_)
-        ));
-        assert_eq!(
-            server.handle(Request::Lease {
-                worker: "w2".into()
-            }),
-            Response::Leased {
-                design: "small".into()
-            }
-        );
-        match server.handle(Request::PlanStat) {
-            Response::PlanStats(s) => {
-                assert_eq!((s.planned, s.completed, s.active_leases), (2, 1, 1));
-                assert_eq!(s.workers, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn retired_v1_opcodes_are_refused_on_a_live_connection() {
-        // The generation-1 data ops GET=1, PUT=2, STAT=3 and GETM=5 no
+    fn retired_opcodes_are_refused_on_a_live_connection() {
+        // The generation-1 data ops GET=1, PUT=2, STAT=3 and GETM=5 and
+        // the planner verbs LEASE=6, REPORT=7, PLAN=8 and PLANSTAT=9 no
         // longer decode; the event loop answers them `Failed` — bare or
         // tagged — and keeps serving the connection.
-        const RETIRED: [u8; 4] = [1, 2, 3, 5];
+        const RETIRED: [u8; 8] = [1, 2, 3, 5, 6, 7, 8, 9];
         let body = get2("ns", key(1)).to_frame().body;
         for op in RETIRED {
             assert_eq!(
@@ -941,15 +859,26 @@ mod tests {
                     op,
                     body: body.clone(),
                 }),
-                Err(crate::wire::WireError::Malformed("request opcode"))
+                Err(WireError::Malformed("request opcode"))
             );
         }
-        let scratch = std::env::temp_dir().join(format!("rtlt-stored-v1-{}", std::process::id()));
+        // Their responses STATS=0x84, LEASED=0x86, DRAINED=0x87 and
+        // PLANSTATS=0x88 no longer decode either.
+        for op in [0x84, 0x86, 0x87, 0x88] {
+            assert_eq!(
+                Response::from_frame(&Frame {
+                    op,
+                    body: body.clone(),
+                }),
+                Err(WireError::Malformed("response opcode"))
+            );
+        }
+        let scratch =
+            std::env::temp_dir().join(format!("rtlt-stored-retired-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&scratch);
         let cfg = ServerConfig {
             dir: scratch.clone(),
             mem_budget: 1 << 20,
-            lease_timeout: crate::plan::DEFAULT_LEASE_TIMEOUT,
         };
         let addr = spawn("127.0.0.1:0", ArtifactServer::new(&cfg))
             .expect("bind ephemeral port")
@@ -1026,8 +955,8 @@ mod tests {
     }
 
     /// Test service: the first request it ever sees is deferred until
-    /// `release` is set, every other one is answered inline. LEASE `w` is
-    /// answered `Leased { design: w }`, so each reply names its request.
+    /// `release` is set, every other one is answered inline. GET2 with
+    /// namespace `w` is answered `Hit(w)`, so each reply names its request.
     #[derive(Default)]
     struct DeferFirst {
         release: Arc<AtomicBool>,
@@ -1040,10 +969,10 @@ mod tests {
         type Conn = Option<(u64, Response)>;
 
         fn respond(&mut self, conn: &mut Self::Conn, req: Request, out: &mut Replies<'_>) {
-            let Request::Lease { worker } = req else {
-                return out.push(Response::Failed("lease only".into()));
+            let Request::Get2 { ns, .. } = req else {
+                return out.push(Response::Failed("get2 only".into()));
             };
-            let reply = Response::Leased { design: worker };
+            let reply = Response::Hit(ns.into_bytes());
             if std::mem::replace(&mut self.deferred_once, true) {
                 out.push(reply);
             } else {
@@ -1074,8 +1003,8 @@ mod tests {
                 .expect("read timeout");
             conn
         };
-        let lease = |w: &str| Request::Lease { worker: w.into() }.to_frame();
-        let leased = |w: &str| Response::Leased { design: w.into() }.to_frame();
+        let ask = |w: &str| get2(w, key(0)).to_frame();
+        let named = |w: &str| Response::Hit(w.into()).to_frame();
         let wrap = |tag: Option<u64>, f: Frame, envelope: fn(u64, &Frame) -> Frame| {
             tag.map_or(f.clone(), |t| envelope(t, &f))
         };
@@ -1085,17 +1014,17 @@ mod tests {
         let mut a = connect();
         let bytes: Vec<u8> = script
             .iter()
-            .flat_map(|&(tag, w)| wrap(tag, lease(w), tag_request).to_bytes())
+            .flat_map(|&(tag, w)| wrap(tag, ask(w), tag_request).to_bytes())
             .collect();
         a.write_all(&bytes).expect("write");
         // Connection B is answered while A's head is still deferred.
         let mut b = connect();
         for (tag, w) in [(Some(10), "b0"), (None, "b1")] {
-            wrap(tag, lease(w), tag_request)
+            wrap(tag, ask(w), tag_request)
                 .write_to(&mut b)
                 .expect("write");
             let reply = Frame::read_from(&mut b).expect("reply");
-            assert_eq!(reply, wrap(tag, leased(w), tag_response), "{w}");
+            assert_eq!(reply, wrap(tag, named(w), tag_response), "{w}");
         }
         a.set_read_timeout(Some(Duration::from_millis(100)))
             .expect("read timeout");
@@ -1107,7 +1036,7 @@ mod tests {
         release.store(true, Ordering::Relaxed);
         for (tag, w) in script {
             let reply = Frame::read_from(&mut a).expect("reply");
-            assert_eq!(reply, wrap(tag, leased(w), tag_response), "{w}");
+            assert_eq!(reply, wrap(tag, named(w), tag_response), "{w}");
         }
         handle.stop();
         handle.join();

@@ -611,12 +611,14 @@ impl DiskTier {
     /// counted; keys already present here are skipped (content-addressed:
     /// same key ⇒ same bytes). This is how N fleet shards assemble one warm
     /// cache.
-    pub fn merge_from(&self, src: &Path) -> MergeReport {
+    ///
+    /// # Errors
+    ///
+    /// `src` itself cannot be listed (missing, not a directory, no
+    /// permission): a mistyped shard dir must not pass as an empty shard.
+    pub fn merge_from(&self, src: &Path) -> std::io::Result<MergeReport> {
         let mut report = MergeReport::default();
-        let Ok(namespaces) = std::fs::read_dir(src) else {
-            return report;
-        };
-        for ns in namespaces.flatten() {
+        for ns in std::fs::read_dir(src)?.flatten() {
             if !ns.path().is_dir() {
                 continue;
             }
@@ -651,7 +653,7 @@ impl DiskTier {
                 }
             }
         }
-        report
+        Ok(report)
     }
 }
 

@@ -5,7 +5,6 @@
 //! out-of-order completions (put acks arriving around an awaited get).
 
 use proptest::prelude::*;
-use rtlt_store::plan::DEFAULT_LEASE_TIMEOUT;
 use rtlt_store::server::{spawn, ArtifactServer, ServerConfig};
 use rtlt_store::wire::{
     op, tag_request, tag_response, untag, Frame, Request, Response, PAYLOAD_ENCODING_FRAME,
@@ -26,7 +25,6 @@ fn server_addr() -> &'static str {
         let cfg = ServerConfig {
             dir: std::env::temp_dir().join(format!("rtlt-mux-{}", std::process::id())),
             mem_budget: 1 << 20,
-            lease_timeout: DEFAULT_LEASE_TIMEOUT,
         };
         spawn("127.0.0.1:0", ArtifactServer::new(&cfg))
             .expect("bind")
